@@ -55,26 +55,25 @@ bench:
 	$(GO) test -run NONE -bench 'Service' -benchtime 2s .
 
 # One-iteration smoke run of the hot-path micro-benchmarks (broadword
-# select, multi-range wavelet descent, batched vs unbatched BFS): makes
+# select, multi-range wavelet descent, the level-synchronous BFS): makes
 # sure the benchmark code keeps compiling and running under ci.
 bench-short:
 	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS' -benchtime 1x \
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 
-# Machine-readable perf trajectory: the batched-vs-unbatched ablation
-# over the standard Table 1 workload (BENCH_PR3.json), the
-# graph-pattern workload — BGP-only vs mixed BGP+RPQ — on the
-# selectivity-planned executor (BENCH_PR4.json), and the live-update
-# workload — read latency vs overlay fill, interleaved read/write, and
-# the compaction swap pause (BENCH_PR5.json), and the standing-
-# subscription workload — incremental delta maintenance vs full
-# re-evaluation over the same update stream (BENCH_PR6.json), and the
-# compilation-tier workload — compiled steppers vs the generic
-# interpreted fallback, plus the service pool with and without
-# cross-query traversal grouping (BENCH_PR7.json).
+# Machine-readable perf trajectory: the graph-pattern workload —
+# BGP-only vs mixed BGP+RPQ — on the selectivity-planned executor
+# (BENCH_PR4.json), the live-update workload — read latency vs overlay
+# fill, interleaved read/write, and the compaction swap pause
+# (BENCH_PR5.json), the standing-subscription workload — incremental
+# delta maintenance vs full re-evaluation over the same update stream
+# (BENCH_PR6.json), and the compilation-tier workload — compiled
+# steppers vs the generic interpreted fallback, plus the service pool
+# with and without cross-query traversal grouping (BENCH_PR7.json).
+# BENCH_PR3.json, the retired batched-vs-unbatched ablation, stays as
+# history.
 bench-json:
-	$(GO) run ./cmd/rpqbench -json BENCH_PR3.json
 	$(GO) run ./cmd/rpqbench -nodes 8000 -edges 40000 -preds 40 -queries 120 \
 		-limit 10000 -patterns BENCH_PR4.json
 	$(GO) run ./cmd/rpqbench -nodes 10000 -edges 50000 -preds 40 -queries 400 \

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"runtime"
@@ -64,14 +63,13 @@ func main() {
 		build   = flag.Bool("build", false, "print only index construction stats")
 		workers = flag.Int("workers", 0, "also drive the log through the service pool with this many workers (0 = off)")
 		shards  = flag.Int("shards", 0, "also compare single-ring vs K-shard query latency (0 = off)")
-		jsonOut = flag.String("json", "", "run the batched-vs-unbatched ablation and write machine-readable results to this file (e.g. BENCH_PR3.json)")
 		patOut  = flag.String("patterns", "", "run the graph-pattern workload (BGP-only vs mixed BGP+RPQ) and write machine-readable results to this file (e.g. BENCH_PR4.json)")
 		updOut  = flag.String("updates", "", "run the live-update workload (read latency vs overlay fill, swap pause) and write machine-readable results to this file (e.g. BENCH_PR5.json)")
 		subsOut = flag.String("subs", "", "run the standing-subscription workload (incremental delta maintenance vs full re-evaluation) and write machine-readable results to this file (e.g. BENCH_PR6.json)")
 		cmpOut  = flag.String("compiled", "", "run the compiled-vs-interpreted stepper ablation plus the cross-query grouping comparison and write machine-readable results to this file (e.g. BENCH_PR7.json)")
 	)
 	flag.Parse()
-	all := !*table1 && !*table2 && !*fig8 && !*build && *jsonOut == "" && *patOut == "" && *updOut == "" && *subsOut == "" && *cmpOut == ""
+	all := !*table1 && !*table2 && !*fig8 && !*build && *patOut == "" && *updOut == "" && *subsOut == "" && *cmpOut == ""
 
 	fmt.Printf("generating graph: %d nodes, %d edge draws, %d predicates (seed %d)\n",
 		*nodes, *edges, *preds, *seed)
@@ -170,10 +168,6 @@ func main() {
 		Nodes: *nodes, Edges: *edges, Preds: *preds, Queries: *queries,
 		Seed: *seed, Timeout: timeout.String(), Limit: *limit,
 		Env: benchEnv(),
-	}
-
-	if *jsonOut != "" {
-		runBatchComparison(g, qs, *timeout, *limit, *jsonOut, cfg)
 	}
 
 	if *patOut != "" {
@@ -376,27 +370,6 @@ type modeStats struct {
 	QPS      float64 `json:"qps"`
 }
 
-// workloadReport pairs both modes over one subset with their speedups.
-// Mismatches counts queries whose batched and unbatched result counts
-// disagreed; any nonzero value means the run is invalid (the tool also
-// exits nonzero), so a committed report provably passed the cross-check.
-type workloadReport struct {
-	Batched        modeStats `json:"batched"`
-	Unbatched      modeStats `json:"unbatched"`
-	SpeedupTotal   float64   `json:"speedup_total"`
-	SpeedupGeomean float64   `json:"speedup_geomean"`
-	Mismatches     int       `json:"mismatches"`
-}
-
-// benchReport is the BENCH_PR3.json schema: the frontier-batching
-// ablation over the standard Table 1 workload, split into the
-// closure-heavy subset (expressions with * or +), the rest, and all.
-type benchReport struct {
-	Bench     string                    `json:"bench"`
-	Config    benchConfig               `json:"config"`
-	Workloads map[string]workloadReport `json:"workloads"`
-}
-
 func summarize(lat []time.Duration, timeouts int) modeStats {
 	st := modeStats{Queries: len(lat) + timeouts, Timeouts: timeouts}
 	if len(lat) == 0 {
@@ -416,156 +389,6 @@ func summarize(lat []time.Duration, timeouts int) modeStats {
 		st.QPS = float64(len(sorted)) / total.Seconds()
 	}
 	return st
-}
-
-// runBatchComparison replays the query log on one engine in batched and
-// DisableBatching mode, reporting p50/p95 latency and throughput per
-// workload subset plus total and geomean speedups, and writes the JSON
-// report. Each (query, mode) is measured as the best of three runs
-// (one warm-up run per query first, so neither mode pays the one-time
-// Glushkov compilation), and both modes must agree on every result
-// count.
-func runBatchComparison(g *triples.Graph, qs []workload.Query, timeout time.Duration, limit int, path string, cfg benchConfig) {
-	ids := func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) }
-	fmt.Printf("batching ablation: %d queries, batched vs -DisableBatching (timeout %v, limit %d)\n",
-		len(qs), timeout, limit)
-	eng := core.NewEngine(ring.New(g, ring.WaveletMatrix), ids)
-
-	type outcome struct {
-		d        time.Duration
-		n        int
-		timedOut bool
-		skip     bool
-	}
-	run := func(q workload.Query, disable bool, reps int) outcome {
-		cq := core.Query{Subject: core.Variable, Object: core.Variable, Expr: q.Expr}
-		if q.Subject != "" {
-			id, ok := g.Nodes.Lookup(q.Subject)
-			if !ok {
-				return outcome{skip: true}
-			}
-			cq.Subject = int64(id)
-		}
-		if q.Object != "" {
-			id, ok := g.Nodes.Lookup(q.Object)
-			if !ok {
-				return outcome{skip: true}
-			}
-			cq.Object = int64(id)
-		}
-		opts := core.Options{Limit: limit, Timeout: timeout, DisableBatching: disable}
-		best := outcome{d: time.Duration(1<<63 - 1)}
-		for rep := 0; rep < reps; rep++ {
-			n := 0
-			t0 := time.Now()
-			_, err := eng.Eval(context.Background(), cq, opts, func(uint32, uint32) bool { n++; return true })
-			d := time.Since(t0)
-			if errors.Is(err, core.ErrTimeout) {
-				return outcome{timedOut: true}
-			} else if err != nil {
-				fmt.Fprintf(os.Stderr, "batching ablation: %s: %v\n", q, err)
-				return outcome{skip: true}
-			}
-			if d < best.d {
-				best = outcome{d: d, n: n}
-			}
-			// Long queries are noise-free; don't triple their cost.
-			if d > 250*time.Millisecond {
-				break
-			}
-		}
-		return best
-	}
-
-	type subset struct {
-		latB, latU           []time.Duration
-		timeoutsB, timeoutsU int
-		logSpeedups          float64
-		pairs, mismatches    int
-	}
-	subsets := map[string]*subset{"all": {}, "closure": {}, "other": {}}
-	for _, q := range qs {
-		// Warm the shared compilation memo so the first measured run of
-		// either mode excludes automaton construction.
-		run(q, true, 1)
-		b := run(q, false, 3)
-		u := run(q, true, 3)
-		if b.skip || u.skip {
-			continue
-		}
-		names := []string{"all", "other"}
-		if strings.ContainsAny(q.Pattern, "*+") {
-			names[1] = "closure"
-		}
-		for _, name := range names {
-			s := subsets[name]
-			if b.timedOut {
-				s.timeoutsB++
-			} else {
-				s.latB = append(s.latB, b.d)
-			}
-			if u.timedOut {
-				s.timeoutsU++
-			} else {
-				s.latU = append(s.latU, u.d)
-			}
-			if b.timedOut || u.timedOut {
-				continue
-			}
-			if b.n != u.n {
-				s.mismatches++
-				fmt.Fprintf(os.Stderr, "batching ablation: %s: batched %d results, unbatched %d\n", q, b.n, u.n)
-				continue
-			}
-			if b.d > 0 && u.d > 0 {
-				s.logSpeedups += math.Log(float64(u.d) / float64(b.d))
-				s.pairs++
-			}
-		}
-	}
-
-	report := benchReport{
-		Bench:     "frontier-batched product-graph traversal (PR3)",
-		Config:    cfg,
-		Workloads: map[string]workloadReport{},
-	}
-	for _, name := range []string{"all", "closure", "other"} {
-		s := subsets[name]
-		wr := workloadReport{
-			Batched:   summarize(s.latB, s.timeoutsB),
-			Unbatched: summarize(s.latU, s.timeoutsU),
-		}
-		if wr.Batched.TotalMs > 0 {
-			wr.SpeedupTotal = wr.Unbatched.TotalMs / wr.Batched.TotalMs
-		}
-		if s.pairs > 0 {
-			wr.SpeedupGeomean = math.Exp(s.logSpeedups / float64(s.pairs))
-		}
-		wr.Mismatches = s.mismatches
-		report.Workloads[name] = wr
-		fmt.Printf("  %-8s %4d queries  batched p50 %8.0fµs p95 %8.0fµs  unbatched p50 %8.0fµs p95 %8.0fµs  speedup total %.2fx geomean %.2fx\n",
-			name, wr.Batched.Queries, wr.Batched.P50us, wr.Batched.P95us,
-			wr.Unbatched.P50us, wr.Unbatched.P95us, wr.SpeedupTotal, wr.SpeedupGeomean)
-		if s.mismatches > 0 {
-			fmt.Printf("  %-8s RESULT MISMATCHES: %d\n", name, s.mismatches)
-		}
-	}
-
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "encoding %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	fmt.Printf("  wrote %s\n", path)
-	if n := subsets["all"].mismatches; n > 0 {
-		fmt.Fprintf(os.Stderr, "batching ablation: %d result mismatches — report is invalid\n", n)
-		os.Exit(1)
-	}
 }
 
 // runShardComparison replays the query log on the single-ring engine

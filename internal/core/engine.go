@@ -30,7 +30,6 @@ import (
 	"ringrpq/internal/obs"
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/ring"
-	"ringrpq/internal/wavelet"
 )
 
 // Variable marks a query endpoint as unbound.
@@ -56,19 +55,9 @@ type Options struct {
 	// DisableNodeMarks turns off the per-wavelet-node visited masks D[v]
 	// (§4.2), keeping only per-subject marks (ablation).
 	DisableNodeMarks bool
-	// DFS switches the product-graph traversal from BFS (the paper's
-	// running example) to depth-first order. Both are correct (§3.2:
-	// "BFS, DFS, etc."); result order differs, the result set does not.
-	// DFS implies unbatched traversal (batching is level-synchronous).
-	DFS bool
-	// DisableBatching reverts the level-synchronous frontier-batched
-	// traversal to the item-at-a-time descent, where every (node, states)
-	// frontier entry pays its own root-to-leaf wavelet descent (ablation;
-	// rpqbench reports both modes side by side).
-	DisableBatching bool
 	// CompileEager compiles the expression into a specialized stepper on
-	// first use instead of waiting for it to get hot (Subscribe and the
-	// benchmarks use this).
+	// first use instead of waiting for it to get hot (the tests and
+	// rpqbench -compiled use this).
 	CompileEager bool
 	// DisableCompiled forces the generic interpreted simulation — the
 	// multiword fallback kept for wide (>64-state) expressions — even
@@ -111,94 +100,6 @@ type Stats struct {
 // stops the evaluation early.
 type EmitFunc func(s, o uint32) bool
 
-// Engine evaluates queries over a ring. It owns reusable working arrays,
-// so a single Engine must not be used concurrently; build one per worker.
-type Engine struct {
-	r   *ring.Ring
-	ids glushkov.SymbolIDs
-
-	// bNode holds the B[v] masks over the wavelet nodes of L_p (§4.1).
-	bNode *lazy.MaskArray
-	// dNode holds visited-state marks over the wavelet nodes of L_s:
-	// leaf entries are the D[s] of §4.2 and internal entries the
-	// intersection of their children, maintained bottom-up.
-	dNode *lazy.MaskArray
-
-	// subjLeaf caches LeafID(s) lookups for part 3 starts.
-	lsPads []wavelet.NodeID
-
-	// compiled memoises Glushkov compilations keyed by the canonical
-	// expression string, so a long-lived Engine (a service worker)
-	// re-evaluating the same expression skips automaton and
-	// transition-table construction. Entries are pointers and the key is
-	// rendered through keyW, keeping the steady-state lookup (and the
-	// uses-counter bump) allocation-free.
-	compiled map[string]*compiledAutomaton
-	keyW     pathexpr.KeyWriter
-
-	queue []queueItem
-
-	// lpItems and lsItems are the scratch range lists of the batched
-	// traversal: a whole frontier level as sorted disjoint L_p ranges,
-	// and the per-step L_s ranges it maps to.
-	lpItems, lsItems []wavelet.RangeMask
-
-	// pairs dedups (s, o) result pairs across the §5 fast-path branches;
-	// owned by the engine so fast-path queries allocate nothing.
-	pairs pairSet
-
-	// per-evaluation state
-	stats     Stats
-	trace     *obs.Trace
-	deadline  time.Time
-	steps     int
-	emit      EmitFunc
-	limit     int
-	noMarks   bool
-	dfs       bool
-	batch     bool
-	eager     bool
-	noCompile bool
-	failure   error
-
-	// st is the active stepper for the current evaluation: the compiled
-	// specialization when the expression is hot, otherwise the
-	// interpreting glushkov.Engine itself. bArr is the compiled
-	// counterpart of bNode — an immutable per-(expression, ring) B[v]
-	// array built once at stepper-compile time, replacing the lazy
-	// per-eval seeding and its per-visit epoch check; nil when
-	// interpreting.
-	st   glushkov.Stepper
-	bArr []uint64
-
-	// groupD pools the per-member visited-mask arrays of EvalGroup.
-	groupD []*lazy.MaskArray
-}
-
-type queueItem struct {
-	node uint32
-	d    uint64
-}
-
-// NewEngine builds an evaluation engine over r. The ids function resolves
-// predicate occurrences of query expressions to completed predicate ids
-// (e.g. triples.Graph.PredID).
-func NewEngine(r *ring.Ring, ids glushkov.SymbolIDs) *Engine {
-	return &Engine{
-		r:      r,
-		ids:    ids,
-		bNode:  lazy.NewMaskArray(r.Lp.NumNodes()),
-		dNode:  lazy.NewMaskArray(r.Ls.NumNodes()),
-		lsPads: r.Ls.PadNodes(),
-	}
-}
-
-// WorkingSizeBytes reports the per-query working-array footprint (the
-// paper's "array D uses 3.09 extra bytes per triple" accounting).
-func (e *Engine) WorkingSizeBytes() int {
-	return e.bNode.SizeBytes() + e.dNode.SizeBytes()
-}
-
 // FoldContext merges ctx-carried request state into opts: an unset
 // Trace is filled from the context (obs.FromContext), and a context
 // deadline earlier than Options.Timeout tightens it. Engines call it
@@ -224,250 +125,141 @@ func FoldContext(ctx context.Context, opts Options) Options {
 	return opts
 }
 
-// Eval evaluates q, calling emit for every result pair. Pairs are
-// distinct (set semantics). It returns the work statistics and ErrTimeout
-// if the timeout fired (results emitted so far are valid but incomplete).
-// ctx is consulted once at entry (FoldContext): it may carry an obs.Trace
-// and tighten the deadline, but is not polled during the traversal.
-func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error) {
-	opts = FoldContext(ctx, opts)
-	e.stats = Stats{}
-	e.steps = 0
-	e.failure = nil
-	e.limit = opts.Limit
-	e.noMarks = opts.DisableNodeMarks
-	e.dfs = opts.DFS
-	e.batch = !opts.DisableBatching && !opts.DFS
-	e.eager = opts.CompileEager
-	e.noCompile = opts.DisableCompiled
-	e.trace = opts.Trace
-	if opts.Timeout > 0 {
-		e.deadline = time.Now().Add(opts.Timeout)
-	} else {
-		e.deadline = time.Time{}
-	}
-	e.emit = func(s, o uint32) bool {
-		e.stats.Results++
-		if !emit(s, o) {
+// traversal is an engine's narrow (≤64-state) §4 traversal, which the
+// shared query drivers of evalState orchestrate.
+type traversal interface {
+	// prepare compiles expr and installs it on every ring; nil selects
+	// the multiword fallback (too wide, or forced by DisableCompiled).
+	prepare(expr pathexpr.Node) *glushkov.Engine
+	// release resets the working arrays in O(1).
+	release()
+	// seed starts a traversal at o, visited with the states d (§4.2).
+	seed(o uint32, d uint64)
+	// run drains the frontier level by level, reporting the nodes that
+	// reach the initial state; states in base count as visited
+	// everywhere.
+	run(base uint64, report EmitFunc) error
+	// full expands the whole L_p range of every ring with states d (the
+	// level 0 of a v→v query's first phase, §4.4), then runs.
+	full(d, base uint64, report EmitFunc) error
+}
+
+// evalState is the per-evaluation state of Engine and ShardedEngine,
+// and the §4.4 drivers they share: each endpoint shape is orchestrated
+// once, over the engine's traversal t, with the multiword fallback of
+// wide.go over the memo's rings.
+type evalState struct {
+	clock     Clock
+	stats     Stats
+	trace     *obs.Trace
+	emit      EmitFunc
+	noMarks   bool
+	eager     bool
+	noCompile bool
+
+	t        traversal
+	memo     *Memo
+	numNodes int
+}
+
+// begin resets the state for one evaluation, wraps emit to count
+// results and honour opts.Limit, and opens the traverse span.
+func (s *evalState) begin(opts Options, emit EmitFunc) int {
+	s.stats = Stats{}
+	s.clock.Start(opts.Timeout)
+	s.trace = opts.Trace
+	s.noMarks = opts.DisableNodeMarks
+	s.eager = opts.CompileEager
+	s.noCompile = opts.DisableCompiled
+	limit := opts.Limit
+	s.emit = func(a, b uint32) bool {
+		s.stats.Results++
+		if !emit(a, b) {
 			return false
 		}
-		return e.limit == 0 || e.stats.Results < e.limit
+		return limit == 0 || s.stats.Results < limit
 	}
+	return s.trace.Begin(obs.SpanTraverse)
+}
 
-	sp := e.trace.Begin(obs.SpanTraverse)
-	err := e.dispatch(q, opts)
-	e.trace.EndVals(sp, int64(e.stats.ProductNodes), int64(e.stats.ProductEdges),
-		int64(e.stats.WaveletVisits), int64(e.stats.Results))
+// end closes the traverse span with the evaluation's Stats; a result
+// limit truncates without error.
+func (s *evalState) end(sp int, err error) (Stats, error) {
+	s.trace.EndVals(sp, int64(s.stats.ProductNodes), int64(s.stats.ProductEdges),
+		int64(s.stats.WaveletVisits), int64(s.stats.Results))
 	if errors.Is(err, errLimit) {
 		err = nil
 	}
-	return e.stats, err
+	return s.stats, err
 }
 
-// dispatch routes the query to the §5 fast paths or the generic §4
-// algorithm, depending on its shape.
-func (e *Engine) dispatch(q Query, opts Options) error {
-	if !opts.DisableFastPaths && q.Subject == Variable && q.Object == Variable {
-		if done, err := e.tryFastPath(q.Expr); done {
-			return err
-		}
-	}
+// dispatch routes q to the driver of its endpoint shape.
+func (s *evalState) dispatch(q Query) error {
 	switch {
 	case q.Object != Variable && q.Subject == Variable:
 		// (x, E, o): traverse E backwards from o.
-		return e.evalToConst(q.Expr, uint32(q.Object), false)
+		return s.evalToConst(q.Expr, uint32(q.Object), false)
 	case q.Subject != Variable && q.Object == Variable:
 		// (s, E, y) ≡ (y, Ê, s): traverse Ê backwards from s (§4.4).
-		return e.evalToConst(pathexpr.InverseOf(q.Expr), uint32(q.Subject), true)
+		return s.evalToConst(pathexpr.InverseOf(q.Expr), uint32(q.Subject), true)
 	case q.Subject != Variable && q.Object != Variable:
-		return e.evalBothConst(q.Expr, uint32(q.Subject), uint32(q.Object))
+		return s.evalBothConst(q.Expr, uint32(q.Subject), uint32(q.Object))
 	default:
-		return e.evalBothVar(q.Expr)
-	}
-}
-
-// compiledAutomaton is one memoised Glushkov compilation; eng is nil
-// when the expression exceeds the 64-state bit-parallel engine and the
-// Wide fallback must be used. st and bArr are the compilation tier:
-// they stay nil until the expression's use count crosses
-// compileThreshold (or an eager evaluation forces them), after which
-// every later evaluation runs the specialized stepper against the
-// precomputed B[v] array with zero per-eval setup.
-type compiledAutomaton struct {
-	a    *glushkov.Automaton
-	eng  *glushkov.Engine
-	uses int
-	st   glushkov.Stepper
-	bArr []uint64
-	// bArrs is the sharded engine's per-shard counterpart of bArr.
-	bArrs [][]uint64
-}
-
-// maxCompiled bounds the per-engine compilation memo; on overflow the
-// whole memo is dropped (rebuilding a handful of automata is cheaper
-// than tracking recency).
-const maxCompiled = 128
-
-// compileThreshold is the use count past which an expression is
-// compiled into a specialized stepper. The service's canonicalizing
-// expr cache aligns the memo keys, so per-worker use counts mirror the
-// service-level hit counters.
-const compileThreshold = 2
-
-// compile returns the memoised Glushkov compilation of expr, keyed by
-// its canonical string (so structurally equal expressions share one
-// entry regardless of how their ASTs were obtained). The memo is
-// per-Engine by design: each worker clone pays its own cold build,
-// in exchange for lock-free access on the evaluation hot path.
-func (e *Engine) compile(expr pathexpr.Node) *compiledAutomaton {
-	kb := e.keyW.Key(expr)
-	c, ok := e.compiled[string(kb)] // no-copy lookup
-	if !ok {
-		a := glushkov.Build(expr, e.ids)
-		eng, err := glushkov.NewEngineFor(a, e.r.NumPreds)
-		if err != nil {
-			eng = nil // fall back to the Wide path
-		}
-		c = &compiledAutomaton{a: a, eng: eng}
-		if e.compiled == nil || len(e.compiled) >= maxCompiled {
-			e.compiled = make(map[string]*compiledAutomaton, 16)
-		}
-		e.compiled[string(kb)] = c
-	}
-	c.uses++
-	if c.eng != nil && c.st == nil && !e.noCompile && (e.eager || c.uses > compileThreshold) {
-		c.st = glushkov.Compile(c.eng, e.r.NumPreds)
-		c.bArr = BuildBArr(e.r.Lp, c.eng)
-	}
-	return c
-}
-
-// BuildBArr precomputes the B[v] masks over the wavelet nodes of lp for
-// a compiled expression: the immutable equivalent of prepare's lazy
-// bNode seeding, built once per (expression, ring) and shared by every
-// later evaluation (the overlay union engine builds one per sub-ring).
-func BuildBArr(lp wavelet.Seq, eng *glushkov.Engine) []uint64 {
-	arr := make([]uint64, lp.NumNodes())
-	for c, mask := range eng.B {
-		for id := lp.LeafID(c); id >= 1; id = id.Parent() {
-			arr[id] |= mask
-		}
-	}
-	return arr
-}
-
-// prepare builds the bit-parallel engine for expr and installs the
-// per-evaluation stepper: the compiled stepper and precomputed B[v]
-// array when the expression is hot, otherwise the interpreter with the
-// B[v] masks seeded onto the lazy bNode array. A nil engine with nil
-// error signals the multiword fallback is needed.
-func (e *Engine) prepare(expr pathexpr.Node) (*glushkov.Engine, error) {
-	if e.noCompile {
-		// Ablation / oracle mode: evaluate on the generic multiword
-		// fallback, exactly as a too-wide expression would.
-		return nil, nil
-	}
-	ca := e.compile(expr)
-	eng := ca.eng
-	if eng == nil {
-		return nil, nil
-	}
-	if ca.st != nil {
-		e.st, e.bArr = ca.st, ca.bArr
-		return eng, nil
-	}
-	e.st, e.bArr = eng, nil
-	for c, mask := range eng.B {
-		for id := e.r.Lp.LeafID(c); id >= 1; id = id.Parent() {
-			e.bNode.Or(int(id), mask)
-		}
-	}
-	return eng, nil
-}
-
-// release resets the per-query working arrays in O(1).
-func (e *Engine) release() {
-	e.bNode.Reset()
-	e.dNode.Reset()
-	e.queue = e.queue[:0]
-	e.pairs.reset()
-	e.st = nil
-	e.bArr = nil
-}
-
-// markPads pre-marks the padding subtrees of L_s as "visited with every
-// state", so that the bottom-up intersection marks are not blocked by
-// leaves that cannot occur.
-func (e *Engine) markPads() {
-	for _, id := range e.lsPads {
-		e.dNode.Set(int(id), ^uint64(0))
+		return s.evalBothVar(q.Expr)
 	}
 }
 
 // evalToConst evaluates (x, E, o) for a fixed object o, emitting (s, o)
 // pairs — or (o, s) when swap is set (the (s, E, y) rewriting).
-func (e *Engine) evalToConst(expr pathexpr.Node, o uint32, swap bool) error {
+func (s *evalState) evalToConst(expr pathexpr.Node, o uint32, swap bool) error {
+	eng := s.t.prepare(expr)
+	if eng == nil {
+		return s.wideEvalToConst(expr, o, swap)
+	}
+	defer s.t.release()
+	if int(o) >= s.numNodes {
+		return nil
+	}
 	// The traversal reports the nodes r reached with the initial state
 	// active; the result pair is (r, o) — or (o, r) under the (s, E, y)
 	// rewriting, where the fixed endpoint is the subject.
 	emit := func(r, _ uint32) bool {
 		if swap {
-			return e.emit(o, r)
+			return s.emit(o, r)
 		}
-		return e.emit(r, o)
+		return s.emit(r, o)
 	}
-	eng, _ := e.prepare(expr)
-	if eng == nil {
-		return e.wideEvalToConst(expr, o, swap)
+	if eng.A.Nullable && !emit(o, o) {
+		return errLimit
 	}
-	defer e.release()
-	if int(o) >= e.r.NumNodes {
-		return nil
-	}
-	if eng.A.Nullable {
-		if !emit(o, o) {
-			return errLimit
-		}
-	}
-	e.markPads()
 	// Mark the start: o has been visited with all final states (§4.2).
-	e.markSubject(e.r.Ls.LeafID(o), eng.F)
-	e.queue = append(e.queue, queueItem{o, eng.F})
-	return e.bfs(eng, 0, emit)
+	s.t.seed(o, eng.F)
+	return s.t.run(0, emit)
 }
 
 // evalBothConst evaluates (s, E, o) with both endpoints fixed, stopping
 // at the first match (§4.4; this case is excluded from Theorem 4.1).
-func (e *Engine) evalBothConst(expr pathexpr.Node, s, o uint32) error {
-	eng, _ := e.prepare(expr)
+func (s *evalState) evalBothConst(expr pathexpr.Node, src, o uint32) error {
+	eng := s.t.prepare(expr)
 	if eng == nil {
-		return e.wideEvalBothConst(expr, s, o)
+		return s.wideEvalBothConst(expr, src, o)
 	}
-	defer e.release()
-	if int(o) >= e.r.NumNodes || int(s) >= e.r.NumNodes {
+	defer s.t.release()
+	if int(o) >= s.numNodes || int(src) >= s.numNodes {
 		return nil
 	}
-	if eng.A.Nullable && s == o {
-		e.emit(s, o)
+	if eng.A.Nullable && src == o {
+		s.emit(src, o)
 		return nil
 	}
-	found := false
-	emit := func(got, _ uint32) bool {
-		if got == s {
-			found = true
-			e.emit(s, o)
+	s.t.seed(o, eng.F)
+	return s.t.run(0, func(got, _ uint32) bool {
+		if got == src {
+			s.emit(src, o)
 			return false // stop the traversal
 		}
 		return true
-	}
-	e.markPads()
-	e.markSubject(e.r.Ls.LeafID(o), eng.F)
-	e.queue = append(e.queue, queueItem{o, eng.F})
-	err := e.bfs(eng, 0, emit)
-	if found && errors.Is(err, errLimit) {
-		err = nil
-	}
-	return err
+	})
 }
 
 // evalBothVar evaluates (x, E, y) (§4.4): a first traversal from the full
@@ -475,84 +267,63 @@ func (e *Engine) evalBothConst(expr pathexpr.Node, s, o uint32) error {
 // per-source traversal enumerates its reachable objects. The orientation
 // is chosen by predicate selectivity (§5: "we choose to start from the
 // end whose predicate has the smallest cardinality").
-func (e *Engine) evalBothVar(expr pathexpr.Node) error {
+func (s *evalState) evalBothVar(expr pathexpr.Node) error {
 	// Nullable expressions relate every node to itself via the empty
 	// path; emit those pairs upfront, then suppress (v,v) rediscovery.
 	// The loop is O(|V|) before any traversal work, so it honours the
 	// deadline too — a short Options.Timeout must be able to interrupt
 	// it on large graphs.
-	a := e.compile(expr).a
+	a := s.memo.Get(expr, s.eager, s.noCompile).A
 	if a.Nullable {
-		for v := 0; v < e.r.NumNodes; v++ {
-			if err := e.checkDeadline(); err != nil {
+		for v := 0; v < s.numNodes; v++ {
+			if err := s.clock.Check(); err != nil {
 				return err
 			}
-			if !e.emit(uint32(v), uint32(v)) {
+			if !s.emit(uint32(v), uint32(v)) {
 				return errLimit
 			}
 		}
 	}
 
-	fromObjects := e.startFromObjects(a)
-	phase1Expr := expr
+	fromObjects := StartFromObjects(a, func(c uint32) int {
+		total := 0
+		for _, r := range s.memo.rings {
+			total += r.Cp[c+1] - r.Cp[c]
+		}
+		return total
+	})
+	phase1Expr, expr2 := expr, pathexpr.InverseOf(expr)
 	if fromObjects {
-		phase1Expr = pathexpr.InverseOf(expr)
+		phase1Expr, expr2 = expr2, expr
 	}
 
 	// Phase 1: collect candidate endpoints from the full range.
 	var starts []uint32
-	collect := func(s, _ uint32) bool {
-		starts = append(starts, s)
+	collect := func(v, _ uint32) bool {
+		starts = append(starts, v)
 		return true
 	}
-	if err := e.fullRangeSources(phase1Expr, collect); err != nil {
+	if err := s.fullRangeSources(phase1Expr, collect); err != nil {
 		return err
 	}
 
 	// Phase 2: one constrained traversal per candidate. The automaton
 	// and the B[v] masks depend only on the expression, so they are
 	// built once and shared; only the visited marks reset per start.
-	nullable := a.Nullable
-	expr2 := expr
-	if !fromObjects {
-		expr2 = pathexpr.InverseOf(expr)
-	}
-	phase2Emit := func(s uint32) EmitFunc {
-		if fromObjects {
-			// s is an object candidate: the traversal reports sources.
-			return func(src, _ uint32) bool {
-				if nullable && src == s {
-					return true // (s,s) already emitted
-				}
-				return e.emit(src, s)
-			}
-		}
-		// s is a source candidate: the traversal of Ê reports objects.
-		return func(o, _ uint32) bool {
-			if nullable && o == s {
-				return true
-			}
-			return e.emit(s, o)
-		}
-	}
-
-	eng2, _ := e.prepare(expr2)
+	phase2 := func(v uint32) EmitFunc { return Phase2Emit(s.emit, v, fromObjects, a.Nullable) }
+	eng2 := s.t.prepare(expr2)
 	if eng2 == nil {
-		for _, s := range starts {
-			if err := e.wideRunToConst(expr2, s, phase2Emit(s)); err != nil {
+		for _, v := range starts {
+			if err := s.wideRunToConst(expr2, v, phase2(v)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	defer e.release()
-	for _, s := range starts {
-		e.dNode.Reset()
-		e.queue = e.queue[:0]
-		e.markPads()
-		e.markSubject(e.r.Ls.LeafID(s), eng2.F)
-		e.queue = append(e.queue, queueItem{s, eng2.F})
-		if err := e.bfs(eng2, 0, phase2Emit(s)); err != nil {
+	defer s.t.release()
+	for _, v := range starts {
+		s.t.seed(v, eng2.F)
+		if err := s.t.run(0, phase2(v)); err != nil {
 			return err
 		}
 	}
@@ -562,232 +333,186 @@ func (e *Engine) evalBothVar(expr pathexpr.Node) error {
 // fullRangeSources finds all nodes that can start a path matching expr
 // towards some node, starting the backward traversal from the full L_p
 // range (the ring's range capability, §4.4).
-func (e *Engine) fullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
-	eng, _ := e.prepare(expr)
+func (s *evalState) fullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
+	eng := s.t.prepare(expr)
 	if eng == nil {
-		return e.wideFullRangeSources(expr, emit)
+		return s.wideFullRangeSources(expr, emit)
 	}
-	defer e.release()
-	e.markPads()
+	defer s.t.release()
 	// Every object conceptually starts with the final states active, so
 	// states in F (minus the initial state, which carries no outgoing
 	// work but must stay reportable) count as already visited everywhere.
-	base := eng.F &^ eng.Init
-	if e.batch {
-		// Level 0 is a single full-range item; the batched step already
-		// drains it into the next frontier.
-		e.lpItems = append(e.lpItems[:0], wavelet.RangeMask{B: 0, E: e.r.N, Mask: eng.F})
-		if err := e.stepMany(eng, e.lpItems, base, emit); err != nil {
-			return err
-		}
-		return e.bfsBatched(eng, base, emit)
-	}
-	if err := e.step(eng, 0, e.r.N, eng.F, base, emit); err != nil {
-		return err
-	}
-	return e.bfs(eng, base, emit)
+	return s.t.full(eng.F, eng.F&^eng.Init, emit)
 }
 
-// startFromObjects decides the phase-1 orientation of a v→v query: true
+// Phase2Emit is the report of a v→v query's phase-2 traversal from the
+// phase-1 candidate v: a traversal of E from an object candidate
+// reports sources, one of Ê from a source candidate reports objects.
+// Nullable expressions skip (v, v), already emitted upfront.
+func Phase2Emit(emit EmitFunc, v uint32, fromObjects, nullable bool) EmitFunc {
+	return func(r, _ uint32) bool {
+		if nullable && r == v {
+			return true
+		}
+		if fromObjects {
+			return emit(r, v)
+		}
+		return emit(v, r)
+	}
+}
+
+// StartFromObjects decides the phase-1 orientation of a v→v query: true
 // means collect objects first (traverse Ê), false sources first
-// (traverse E). The cheaper side is the one whose boundary predicates
-// select fewer triples.
-func (e *Engine) startFromObjects(a *glushkov.Automaton) bool {
+// (traverse E). The backward traversal's initial step scans the last
+// positions' predicates, so the cheaper orientation is the one whose
+// boundary predicates select fewer triples; card counts the triples of
+// a completed predicate.
+func StartFromObjects(a *glushkov.Automaton, card func(c uint32) int) bool {
 	count := func(positions []int32) int {
 		total := 0
 		for _, j := range positions {
-			c := a.Syms[j-1]
-			if c == glushkov.NoSymbol {
-				continue
+			if c := a.Syms[j-1]; c != glushkov.NoSymbol {
+				total += card(c)
 			}
-			total += e.r.Cp[c+1] - e.r.Cp[c]
 		}
 		return total
 	}
-	// Boundary predicates: first positions start paths (near subjects),
-	// last positions end them (near objects).
-	firstCard := count(a.Follow[0])
-	lastCard := count(a.Last)
-	// The backward traversal's initial step scans the *last* predicates;
-	// prefer the orientation whose first scan is smaller.
-	return firstCard < lastCard
+	// First positions start paths (near subjects), last positions end
+	// them (near objects).
+	return count(a.Follow[0]) < count(a.Last)
 }
 
-// bfs drains the worklist, expanding each (node, states) item (§4 parts
-// 1–3). The default is the frontier-batched level-synchronous traversal
-// (one multi-range wavelet descent per level and part); Options.DFS
-// switches to last-in-first-out and Options.DisableBatching to the
-// item-at-a-time FIFO, both on the classic per-item descent.
-func (e *Engine) bfs(eng *glushkov.Engine, base uint64, emit EmitFunc) error {
-	if e.batch {
-		return e.bfsBatched(eng, base, emit)
-	}
-	if e.dfs {
-		for len(e.queue) > 0 {
-			it := e.queue[len(e.queue)-1]
-			e.queue = e.queue[:len(e.queue)-1]
-			b, end := e.r.ObjectRange(it.node)
-			if err := e.step(eng, b, end, it.d, base, emit); err != nil {
-				return err
-			}
+// Engine evaluates queries over a ring. It owns reusable working arrays,
+// so a single Engine must not be used concurrently; build one per worker.
+type Engine struct {
+	r   *ring.Ring
+	ids glushkov.SymbolIDs
+	own *LevelOwner
+
+	// queue collects the frontier's next level.
+	queue []Item
+
+	// pairs dedups (s, o) result pairs across the §5 fast-path branches;
+	// owned by the engine so fast-path queries allocate nothing.
+	pairs pairSet
+
+	evalState
+	// init is the initial-state mask of the installed automaton and
+	// report the running traversal's report of nodes reaching it.
+	init   uint64
+	report EmitFunc
+
+	// groupD pools the per-member visited-mask arrays of EvalGroup.
+	groupD []*lazy.MaskArray
+}
+
+// NewEngine builds an evaluation engine over r. The ids function resolves
+// predicate occurrences of query expressions to completed predicate ids
+// (e.g. triples.Graph.PredID).
+func NewEngine(r *ring.Ring, ids glushkov.SymbolIDs) *Engine {
+	e := &Engine{r: r, ids: ids, own: NewLevelOwner(r)}
+	e.own.Stats = &e.stats
+	e.own.Clock = &e.clock
+	e.own.Leaf = e.arrive
+	e.t = e
+	e.memo = NewMemo(ids, r.NumPreds, []*ring.Ring{r})
+	e.numNodes = r.NumNodes
+	return e
+}
+
+// WorkingSizeBytes reports the per-query working-array footprint (the
+// paper's "array D uses 3.09 extra bytes per triple" accounting).
+func (e *Engine) WorkingSizeBytes() int { return e.own.SizeBytes() }
+
+// Eval evaluates q, calling emit for every result pair. Pairs are
+// distinct (set semantics). It returns the work statistics and ErrTimeout
+// if the timeout fired (results emitted so far are valid but incomplete).
+// ctx is consulted once at entry (FoldContext): it may carry an obs.Trace
+// and tighten the deadline, but is not polled during the traversal.
+func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error) {
+	opts = FoldContext(ctx, opts)
+	sp := e.begin(opts, emit)
+	// The §5 fast paths take the join-like v→v shapes; everything else
+	// runs the generic §4 algorithm.
+	if !opts.DisableFastPaths && q.Subject == Variable && q.Object == Variable {
+		if done, err := e.tryFastPath(q.Expr); done {
+			return e.end(sp, err)
 		}
+	}
+	return e.end(sp, e.dispatch(q))
+}
+
+func (e *Engine) prepare(expr pathexpr.Node) *glushkov.Engine {
+	if e.noCompile {
 		return nil
 	}
-	for head := 0; head < len(e.queue); head++ {
-		it := e.queue[head]
-		b, end := e.r.ObjectRange(it.node)
-		if err := e.step(eng, b, end, it.d, base, emit); err != nil {
+	c := e.memo.Get(expr, e.eager, false)
+	if c.Eng == nil {
+		return nil
+	}
+	e.own.noMarks = e.noMarks
+	e.own.Install(c, 0)
+	e.init = c.Eng.Init
+	return c.Eng
+}
+
+func (e *Engine) release() {
+	e.own.Release()
+	e.queue = e.queue[:0]
+}
+
+func (e *Engine) seed(o uint32, d uint64) {
+	e.own.ResetMarks()
+	e.own.Mark(o, d)
+	e.queue = append(e.queue[:0], Item{o, d})
+}
+
+func (e *Engine) full(d, base uint64, report EmitFunc) error {
+	e.queue = e.queue[:0]
+	e.report = report
+	if err := e.own.StepFull(d, base); err != nil {
+		return err
+	}
+	return e.run(base, report)
+}
+
+// run drains the worklist level-synchronously (§4 parts 1–3 per level).
+func (e *Engine) run(base uint64, report EmitFunc) error {
+	e.report = report
+	for len(e.queue) > 0 {
+		if err := e.clock.Check(); err != nil {
+			return err
+		}
+		// The items copy the level out, so the queue can take the next one.
+		items := e.own.Items(NextLevel(e.queue))
+		e.queue = e.queue[:0]
+		sp, visits0 := -1, 0
+		if e.trace != nil {
+			visits0 = e.stats.WaveletVisits
+			sp = e.trace.Begin(obs.SpanLevel)
+		}
+		err := e.own.StepLevel(items, base)
+		e.trace.EndVals(sp, int64(len(items)), int64(e.stats.WaveletVisits-visits0))
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// step performs one backward NFA step from the L_p range [b, end) with
-// active states d: part 1 over L_p, part 2 over L_s, part 3 via C_o
-// (enqueue).
-func (e *Engine) step(eng *glushkov.Engine, b, end int, d, base uint64, emit EmitFunc) error {
-	if err := e.checkDeadline(); err != nil {
-		return err
+// arrive is the Leaf hook: a subject reached with fresh states is a new
+// product-graph node; it is reported when it reaches the initial state
+// and enqueued with the remaining states when it has in-edges.
+func (e *Engine) arrive(s uint32, _, fresh uint64) error {
+	e.stats.ProductNodes++
+	if fresh&e.init != 0 {
+		if !e.report(s, 0) {
+			return errLimit
+		}
+		fresh &^= e.init // the initial state has no incoming work
 	}
-	// Negated property sets contribute to the part-1 filter per node
-	// direction: a class position may be reachable through any wavelet
-	// node that covers symbols of its half of the completed alphabet.
-	negFwd, negInv := eng.NegClassBits()
-	half := e.r.NumPreds / 2
-	var failure error
-	e.r.Lp.Traverse(b, end, func(node wavelet.NodeID, leaf bool, p uint32, rb, re int, full bool) bool {
-		if failure != nil {
-			return false
-		}
-		e.stats.WaveletVisits++
-		if !leaf {
-			// Part 1 pruning: descend only towards predicates that lead
-			// to an active state (Fact 1 via the aggregated B[v]).
-			var bm uint64
-			if e.bArr != nil {
-				bm = e.bArr[node]
-			} else {
-				bm = e.bNode.Get(int(node))
-			}
-			if d&bm != 0 {
-				return true
-			}
-			if negFwd|negInv == 0 {
-				return false
-			}
-			lo, hi := e.r.Lp.SymRange(node)
-			var cb uint64
-			if lo < half {
-				cb |= negFwd
-			}
-			if hi > half {
-				cb |= negInv
-			}
-			return d&cb != 0
-		}
-		// A single frontier level can cover an unbounded number of
-		// predicate leaves, so the deadline is probed per expansion here
-		// too, not only per step (checkDeadline amortizes the clock read).
-		if err := e.checkDeadline(); err != nil {
-			failure = err
-			return false
-		}
-		bp := e.st.PredMask(p)
-		if d&bp == 0 {
-			return true
-		}
-		e.stats.ProductEdges++
-		// The NFA transition is the same for every subject below (Fact 1).
-		d2 := e.st.StepBack(d & bp)
-		if d2 == 0 {
-			return true
-		}
-		// Backward search step (Eqs. 4–5): the rank range [rb, re) of p
-		// plus C_p gives the L_s range of sources.
-		lsB := e.r.Cp[p] + rb
-		lsE := e.r.Cp[p] + re
-		if err := e.part2(eng, lsB, lsE, d2, base, emit); err != nil {
-			failure = err
-			return false
-		}
-		return true
-	})
-	return failure
-}
-
-// part2 enumerates the distinct subjects of L_s[b, end) that still have
-// unvisited states in d2, marks them, reports sources, and enqueues the
-// continuation (§4.2–4.3).
-func (e *Engine) part2(eng *glushkov.Engine, b, end int, d2, base uint64, emit EmitFunc) error {
-	var failure error
-	e.r.Ls.Traverse(b, end, func(node wavelet.NodeID, leaf bool, s uint32, rb, re int, full bool) bool {
-		if failure != nil {
-			return false
-		}
-		e.stats.WaveletVisits++
-		visited := e.dNode.Get(int(node)) | base
-		if !leaf {
-			if e.noMarks {
-				return true
-			}
-			// Prune subtrees all of whose subjects were already visited
-			// with every state in d2.
-			return d2&^visited != 0
-		}
-		// Dense objects make one part-2 call cover many subject leaves;
-		// probe the deadline per leaf so a single huge level cannot run
-		// far past it.
-		if err := e.checkDeadline(); err != nil {
-			failure = err
-			return false
-		}
-		newStates := d2 &^ visited
-		if newStates == 0 {
-			return true
-		}
-		e.stats.ProductNodes++
-		e.markSubject(node, d2)
-		if newStates&eng.Init != 0 {
-			if !emit(s, 0) {
-				failure = errLimit
-				return false
-			}
-			newStates &^= eng.Init // the initial state has no incoming work
-		}
-		if newStates != 0 && e.r.Co[s+1] > e.r.Co[s] {
-			e.queue = append(e.queue, queueItem{s, newStates})
-		}
-		return true
-	})
-	return failure
-}
-
-// markSubject records that the subject at leaf id has been visited with
-// the given states and restores the invariant that every internal mark is
-// the intersection of its children (conservatively using zero for
-// untouched real leaves and all-ones for padding, via markPads).
-func (e *Engine) markSubject(leaf wavelet.NodeID, states uint64) {
-	e.dNode.Or(int(leaf), states)
-	if e.noMarks {
-		return
-	}
-	for id := leaf.Parent(); id >= 1; id = id.Parent() {
-		v := e.dNode.Get(int(2*id)) & e.dNode.Get(int(2*id+1))
-		if v == e.dNode.Get(int(id)) {
-			break
-		}
-		e.dNode.Set(int(id), v)
-	}
-}
-
-func (e *Engine) checkDeadline() error {
-	e.steps++
-	if e.deadline.IsZero() || e.steps%64 != 0 {
-		return nil
-	}
-	if time.Now().After(e.deadline) {
-		return ErrTimeout
+	if fresh != 0 && e.r.Co[s+1] > e.r.Co[s] {
+		e.queue = append(e.queue, Item{s, fresh})
 	}
 	return nil
 }

@@ -280,7 +280,7 @@ func TestTimeout(t *testing.T) {
 // On a dense graph a single BFS level covers thousands of leaf
 // expansions, so the deadline must be probed inside the part-1/part-2
 // inner loops — per leaf, not only per frontier entry — in every
-// traversal mode and stepping tier. A 1ns budget must come back in
+// stepping tier. A 1ns budget must come back in
 // bounded time with ErrTimeout, never run a huge level to completion.
 func TestTimeoutProbedInInnerLoops(t *testing.T) {
 	g := enginetest.RandomGraph(9, 400, 2, 12000)
@@ -293,8 +293,6 @@ func TestTimeoutProbedInInnerLoops(t *testing.T) {
 		opts Options
 	}{
 		{"batched", Options{Timeout: time.Nanosecond, DisableFastPaths: true}},
-		{"unbatched", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DisableBatching: true}},
-		{"dfs", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DFS: true}},
 		{"compiled", Options{Timeout: time.Nanosecond, DisableFastPaths: true, CompileEager: true}},
 		{"interpreted", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DisableCompiled: true}},
 	}
@@ -561,8 +559,10 @@ func TestLocality(t *testing.T) {
 	}
 }
 
-// DFS traversal order must produce exactly the BFS result set.
-func TestDFSMatchesBFS(t *testing.T) {
+// The level-synchronous BFS must produce exactly the oracle's result
+// set with the fast paths off, for every shape the generic algorithm
+// orchestrates (v→v two-phase, c→v, v→c).
+func TestBFSMatchesOracle(t *testing.T) {
 	for seed := int64(60); seed < 66; seed++ {
 		g := enginetest.RandomGraph(seed, 14, 3, 60)
 		e := newEngine(g, ring.WaveletMatrix)
@@ -571,11 +571,8 @@ func TestDFSMatchesBFS(t *testing.T) {
 			expr := enginetest.RandomExpr(rng, 3, 3)
 			for _, ends := range [][2]int64{{Variable, Variable}, {2, Variable}, {Variable, 3}} {
 				q := Query{Subject: ends[0], Expr: expr, Object: ends[1]}
-				a := enginetest.SortPairs(collect(t, e, q, Options{DisableFastPaths: true}))
-				b := enginetest.SortPairs(collect(t, e, q, Options{DisableFastPaths: true, DFS: true}))
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("seed %d %s: BFS=%v DFS=%v", seed, pathexpr.String(expr), a, b)
-				}
+				want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
+				diffPairs(t, "bfs vs oracle", evalPairs(t, e, q, Options{DisableFastPaths: true}), want, q)
 			}
 		}
 	}

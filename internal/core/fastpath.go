@@ -74,7 +74,7 @@ func (e *Engine) fastSingle(sym pathexpr.Sym) error {
 		if failure != nil {
 			return
 		}
-		if err := e.checkDeadline(); err != nil {
+		if err := e.clock.Check(); err != nil {
 			failure = err
 			return
 		}
@@ -110,7 +110,7 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym) error {
 		if failure != nil {
 			return
 		}
-		if err := e.checkDeadline(); err != nil {
+		if err := e.clock.Check(); err != nil {
 			failure = err
 			return
 		}

@@ -31,10 +31,12 @@ import (
 //
 // Members must be groupable: a single fixed endpoint (the (s,E,y) shape
 // is normalised to (x,Ê,s) exactly as in dispatch), a ≤64-state
-// automaton, and the default marked/batched/compiled configuration.
-// Everything else — both-variable, both-const, wide, DFS, unbatched,
-// mark-less or interpreter-forced evaluations — falls back to a solo
-// Eval within the same call, so callers can hand over any mix.
+// automaton, and the default marked/compiled configuration. Everything
+// else — both-variable, both-const, wide, mark-less or
+// interpreter-forced evaluations — falls back to a solo Eval within the
+// same call, so callers can hand over any mix. Whether a member groups
+// depends only on the member itself, never on its position in the
+// batch.
 //
 // Accounting: ProductNodes, ProductEdges and Results are exact per
 // member. WaveletVisits is only partially attributable — internal nodes
@@ -65,7 +67,7 @@ type groupMember struct {
 	negFwd, negInv uint64
 
 	dNode    *lazy.MaskArray
-	queue    []queueItem
+	queue    []Item
 	deadline time.Time
 	limit    int
 
@@ -75,7 +77,7 @@ type groupMember struct {
 
 // glushkovEngine bundles the member's compiled stepping state. (A named
 // struct keeps groupMember readable; all fields come from one
-// compiledAutomaton.)
+// Compiled.)
 type glushkovEngine struct {
 	init, final uint64
 	nullable    bool
@@ -89,12 +91,6 @@ type glushkovEngine struct {
 // Each member's Stats and Err are filled in before EvalGroup returns.
 // Like Eval, EvalGroup must not run concurrently on one Engine.
 func (e *Engine) EvalGroup(qs []*GroupQuery) {
-	// Group members compile eagerly: sharing a descent requires the
-	// precomputed B[v] arrays, and a query worth grouping is worth
-	// compiling.
-	e.eager = true
-	e.noCompile = false
-
 	var members []*groupMember
 	for _, gq := range qs {
 		if m, ok := e.groupable(gq); ok {
@@ -130,7 +126,7 @@ type TraversalGroup struct {
 // so, builds its member state (compiling the expression eagerly).
 func (e *Engine) groupable(gq *GroupQuery) (*groupMember, bool) {
 	opts := gq.Opts
-	if opts.DFS || opts.DisableBatching || opts.DisableNodeMarks || opts.DisableCompiled {
+	if opts.DisableNodeMarks || opts.DisableCompiled {
 		return nil, false
 	}
 	q := gq.Query
@@ -148,21 +144,24 @@ func (e *Engine) groupable(gq *GroupQuery) (*groupMember, bool) {
 		// orchestration (fast paths, two-phase, early stop).
 		return nil, false
 	}
-	ca := e.compile(expr)
-	if ca.eng == nil || ca.st == nil {
+	// Group members compile eagerly: sharing a descent requires the
+	// precomputed B[v] arrays, and a query worth grouping is worth
+	// compiling.
+	ca := e.memo.Get(expr, true, false)
+	if ca.Eng == nil {
 		return nil, false // wide automaton: interpreter-only
 	}
-	negFwd, negInv := ca.eng.NegClassBits()
+	negFwd, negInv := ca.Eng.NegClassBits()
 	m := &groupMember{
 		gq:   gq,
 		o:    o,
 		swap: swap,
 		eng: &glushkovEngine{
-			init:     ca.eng.Init,
-			final:    ca.eng.F,
-			nullable: ca.eng.A.Nullable,
-			st:       ca.st,
-			bArr:     ca.bArr,
+			init:     ca.Eng.Init,
+			final:    ca.Eng.F,
+			nullable: ca.Eng.A.Nullable,
+			st:       ca.St,
+			bArr:     ca.BArrs[0],
 		},
 		negFwd: negFwd,
 		negInv: negInv,
@@ -203,26 +202,13 @@ func (e *Engine) putGroupD(d *lazy.MaskArray) {
 	e.groupD = append(e.groupD, d)
 }
 
-// markSubjectOn is markSubject against an arbitrary mask array (each
-// group member owns one).
-func markSubjectOn(d *lazy.MaskArray, leaf wavelet.NodeID, states uint64) {
-	d.Or(int(leaf), states)
-	for id := leaf.Parent(); id >= 1; id = id.Parent() {
-		v := d.Get(int(2*id)) & d.Get(int(2*id+1))
-		if v == d.Get(int(id)) {
-			break
-		}
-		d.Set(int(id), v)
-	}
-}
-
 // run drives the lockstep BFS over the live members.
 func (g *TraversalGroup) run() {
-	e, ms := g.e, g.members
+	e, ms, own := g.e, g.members, g.e.own
 	// Seed each member exactly as evalToConst would.
 	for _, m := range ms {
 		m.dNode = e.getGroupD()
-		for _, id := range e.lsPads {
+		for _, id := range own.lsPads {
 			m.dNode.Set(int(id), ^uint64(0))
 		}
 		if int(m.o) >= e.r.NumNodes {
@@ -234,7 +220,7 @@ func (g *TraversalGroup) run() {
 			continue
 		}
 		markSubjectOn(m.dNode, e.r.Ls.LeafID(m.o), m.eng.final)
-		m.queue = append(m.queue, queueItem{m.o, m.eng.final})
+		m.queue = append(m.queue, Item{m.o, m.eng.final})
 	}
 
 	// The group deadline probe: one amortised clock read covers every
@@ -271,25 +257,24 @@ func (g *TraversalGroup) run() {
 		return nil
 	}
 
-	half := e.r.NumPreds / 2
 	for {
 		// Merge the members' frontiers into one tagged, sorted item list.
-		e.lpItems = e.lpItems[:0]
+		own.lpItems = own.lpItems[:0]
 		for tag, m := range ms {
 			if m.done || len(m.queue) == 0 {
 				continue
 			}
 			e.appendMemberItems(m, uint32(tag))
 		}
-		if len(e.lpItems) == 0 {
+		if len(own.lpItems) == 0 {
 			break
 		}
-		slices.SortFunc(e.lpItems, func(a, b wavelet.RangeMask) int { return cmp.Compare(a.B, b.B) })
+		slices.SortFunc(own.lpItems, func(a, b wavelet.RangeMask) int { return cmp.Compare(a.B, b.B) })
 
 		// Part 1: one descent of L_p for the whole group's level.
-		e.lsItems = e.lsItems[:0]
+		own.lsItems = own.lsItems[:0]
 		var failure error
-		e.r.Lp.TraverseMany(e.lpItems, func(node wavelet.NodeID, leaf bool, p uint32, its []wavelet.RangeMask) int {
+		e.r.Lp.TraverseMany(own.lpItems, func(node wavelet.NodeID, leaf bool, p uint32, its []wavelet.RangeMask) int {
 			if failure != nil {
 				return 0
 			}
@@ -301,18 +286,7 @@ func (g *TraversalGroup) run() {
 						continue
 					}
 					if it.Mask&m.eng.bArr[node] == 0 {
-						if m.negFwd|m.negInv == 0 {
-							continue
-						}
-						lo, hi := e.r.Lp.SymRange(node)
-						var cb uint64
-						if lo < half {
-							cb |= m.negFwd
-						}
-						if hi > half {
-							cb |= m.negInv
-						}
-						if it.Mask&cb == 0 {
+						if m.negFwd|m.negInv == 0 || it.Mask&own.negBits(node, m.negFwd, m.negInv) == 0 {
 							continue
 						}
 					}
@@ -343,16 +317,16 @@ func (g *TraversalGroup) run() {
 					continue
 				}
 				b, end := cp+it.B, cp+it.E
-				if n := len(e.lsItems); n > 0 && e.lsItems[n-1].E == b &&
-					e.lsItems[n-1].Mask == d2 && e.lsItems[n-1].Tag == it.Tag {
-					e.lsItems[n-1].E = end
+				if n := len(own.lsItems); n > 0 && own.lsItems[n-1].E == b &&
+					own.lsItems[n-1].Mask == d2 && own.lsItems[n-1].Tag == it.Tag {
+					own.lsItems[n-1].E = end
 					continue
 				}
-				e.lsItems = append(e.lsItems, wavelet.RangeMask{B: b, E: end, Mask: d2, Tag: it.Tag})
+				own.lsItems = append(own.lsItems, wavelet.RangeMask{B: b, E: end, Mask: d2, Tag: it.Tag})
 			}
 			return 0
 		})
-		if failure != nil || len(e.lsItems) == 0 {
+		if failure != nil || len(own.lsItems) == 0 {
 			if failure != nil {
 				break
 			}
@@ -361,8 +335,8 @@ func (g *TraversalGroup) run() {
 
 		// Part 2: one descent of L_s; D[v] pruning per item against the
 		// owning member's marks.
-		slices.SortFunc(e.lsItems, func(a, b wavelet.RangeMask) int { return cmp.Compare(a.B, b.B) })
-		e.r.Ls.TraverseMany(e.lsItems, func(node wavelet.NodeID, leaf bool, s uint32, its []wavelet.RangeMask) int {
+		slices.SortFunc(own.lsItems, func(a, b wavelet.RangeMask) int { return cmp.Compare(a.B, b.B) })
+		e.r.Ls.TraverseMany(own.lsItems, func(node wavelet.NodeID, leaf bool, s uint32, its []wavelet.RangeMask) int {
 			if failure != nil {
 				return 0
 			}
@@ -404,7 +378,7 @@ func (g *TraversalGroup) run() {
 					fresh &^= m.eng.init
 				}
 				if fresh != 0 && e.r.Co[s+1] > e.r.Co[s] {
-					m.queue = append(m.queue, queueItem{s, fresh})
+					m.queue = append(m.queue, Item{s, fresh})
 				}
 			}
 			return 0
@@ -421,34 +395,27 @@ func (g *TraversalGroup) run() {
 			m.gq.Err = nil
 		}
 	}
-	e.lpItems = e.lpItems[:0]
-	e.lsItems = e.lsItems[:0]
+	own.lpItems = own.lpItems[:0]
+	own.lsItems = own.lsItems[:0]
 }
 
-// appendMemberItems drains m's frontier into e.lpItems as sorted
-// disjoint L_p ranges tagged with the member index (frontierItems, per
-// member).
+// appendMemberItems drains m's frontier into the engine's L_p item
+// scratch as sorted disjoint ranges tagged with the member index
+// (LevelOwner.Items, per member).
 func (e *Engine) appendMemberItems(m *groupMember, tag uint32) {
-	slices.SortFunc(m.queue, func(a, b queueItem) int { return cmp.Compare(a.node, b.node) })
-	q := m.queue[:0]
-	for _, it := range m.queue {
-		if n := len(q); n > 0 && q[n-1].node == it.node {
-			q[n-1].d |= it.d
-			continue
-		}
-		q = append(q, it)
-	}
-	for _, it := range q {
-		b, end := e.r.ObjectRange(it.node)
+	items := e.own.lpItems
+	for _, it := range NextLevel(m.queue) {
+		b, end := e.r.ObjectRange(it.Node)
 		if b >= end {
 			continue
 		}
-		if n := len(e.lpItems); n > 0 && e.lpItems[n-1].E == b &&
-			e.lpItems[n-1].Mask == it.d && e.lpItems[n-1].Tag == tag {
-			e.lpItems[n-1].E = end
+		if n := len(items); n > 0 && items[n-1].E == b &&
+			items[n-1].Mask == it.D && items[n-1].Tag == tag {
+			items[n-1].E = end
 			continue
 		}
-		e.lpItems = append(e.lpItems, wavelet.RangeMask{B: b, E: end, Mask: it.d, Tag: tag})
+		items = append(items, wavelet.RangeMask{B: b, E: end, Mask: it.D, Tag: tag})
 	}
+	e.own.lpItems = items
 	m.queue = m.queue[:0]
 }

@@ -159,3 +159,42 @@ func TestGroupedTimeoutIsolation(t *testing.T) {
 		t.Fatalf("surviving member results diverged")
 	}
 }
+
+// Grouping must not depend on member order: a non-groupable member
+// evaluated solo ahead of the groupable ones must not leave them cold
+// and interpreted. Each cold groupable member compiles eagerly and joins
+// the shared traversal wherever it sits in the batch, so its per-member
+// accounting (leaf visits only, see EvalGroup) is the same in every
+// order.
+func TestGroupingIndependentOfMemberOrder(t *testing.T) {
+	g := enginetest.RandomGraph(3, 20, 3, 80)
+	batch := func() []*GroupQuery {
+		return []*GroupQuery{
+			{Query: Query{Subject: 1, Expr: pathexpr.MustParse("pa/pb"), Object: 2}},
+			{Query: Query{Subject: Variable, Expr: pathexpr.MustParse("(pa|pb)+"), Object: 3}},
+			{Query: Query{Subject: Variable, Expr: pathexpr.MustParse("pc*/pa"), Object: 4}},
+		}
+	}
+	run := func(order []int) []*GroupQuery {
+		e := newEngine(g, ring.WaveletMatrix)
+		gqs := batch()
+		ordered := make([]*GroupQuery, len(order))
+		for i, k := range order {
+			gqs[k].Emit = func(s, o uint32) bool { return true }
+			ordered[i] = gqs[k]
+		}
+		e.EvalGroup(ordered)
+		return gqs
+	}
+	first := run([]int{1, 2, 0})
+	last := run([]int{0, 1, 2})
+	for k := 1; k < 3; k++ {
+		if first[k].Err != nil || last[k].Err != nil {
+			t.Fatalf("member %d: errs %v, %v", k, first[k].Err, last[k].Err)
+		}
+		if first[k].Stats != last[k].Stats {
+			t.Fatalf("member %d (%s): stats %+v after the solo member, %+v before it",
+				k, pathexpr.String(first[k].Query.Expr), last[k].Stats, first[k].Stats)
+		}
+	}
+}

@@ -101,16 +101,12 @@ func TestShardedDifferentialRandom(t *testing.T) {
 			for _, q := range queriesFor(rng, g, expr) {
 				want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
 				diffPairs(t, "engine vs oracle", evalPairs(t, eng, q, Options{}), want, q)
-				diffPairs(t, "engine unbatched vs oracle",
-					evalPairs(t, eng, q, Options{DisableBatching: true}), want, q)
 				diffPairs(t, "engine compiled vs oracle",
 					evalPairs(t, eng, q, Options{CompileEager: true}), want, q)
 				diffPairs(t, "engine interpreted vs oracle",
 					evalPairs(t, eng, q, Options{DisableCompiled: true}), want, q)
 				diffPairs(t, "bfs vs oracle", bfsPairs(t, ix, q), want, q)
 				diffPairs(t, fmt.Sprintf("sharded(k=%d) vs oracle", k), evalPairs(t, sharded, q, Options{}), want, q)
-				diffPairs(t, fmt.Sprintf("sharded(k=%d) unbatched vs oracle", k),
-					evalPairs(t, sharded, q, Options{DisableBatching: true}), want, q)
 				diffPairs(t, fmt.Sprintf("sharded(k=%d) compiled vs oracle", k),
 					evalPairs(t, sharded, q, Options{CompileEager: true}), want, q)
 				diffPairs(t, fmt.Sprintf("sharded(k=%d) interpreted vs oracle", k),

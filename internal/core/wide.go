@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-
 	"ringrpq/internal/glushkov"
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/ring"
@@ -16,6 +14,13 @@ import (
 // no longer fit the flat uint64 arrays); the paper's general case pays
 // the same O(m/w) factor. Such expressions are vanishingly rare in real
 // logs — the Wikidata log's queries have fewer than 16 predicates (§5).
+//
+// The drivers run over the memo's rings, which share one id space: the
+// single engine's ring, or every shard of the sharded engine. Each
+// dequeued (node, states) item steps through every ring in turn against
+// one visited map, so this is the plain §4 traversal of the union
+// graph; it runs sequentially (there are no per-ring masks to keep
+// coherent).
 
 type wideState struct {
 	eng     *glushkov.Wide
@@ -24,12 +29,18 @@ type wideState struct {
 	states  []glushkov.Mask
 }
 
-func (e *Engine) newWideState(expr pathexpr.Node) *wideState {
-	a := e.compile(expr).a
-	return &wideState{
-		eng:     glushkov.NewWideFor(a, e.r.NumPreds),
-		visited: make(map[uint32]glushkov.Mask),
-	}
+func (s *evalState) newWideState(expr pathexpr.Node) *wideState {
+	c := s.memo.Get(expr, s.eager, s.noCompile)
+	return &wideState{eng: s.memo.Wide(c), visited: make(map[uint32]glushkov.Mask)}
+}
+
+// wideStart is newWideState seeded at o with the final states.
+func (s *evalState) wideStart(expr pathexpr.Node, o uint32) *wideState {
+	w := s.newWideState(expr)
+	w.visited[o] = w.eng.F.Clone()
+	w.queue = append(w.queue, o)
+	w.states = append(w.states, w.eng.F.Clone())
+	return w
 }
 
 // enqueue records that node was reached with states d, returning the
@@ -54,139 +65,121 @@ func (w *wideState) enqueue(node uint32, d glushkov.Mask) glushkov.Mask {
 	return fresh
 }
 
-func (e *Engine) wideEvalToConst(expr pathexpr.Node, o uint32, swap bool) error {
+func (s *evalState) wideEvalToConst(expr pathexpr.Node, o uint32, swap bool) error {
+	if int(o) >= s.numNodes {
+		return nil
+	}
 	emit := func(r uint32) bool {
 		if swap {
-			return e.emit(o, r)
+			return s.emit(o, r)
 		}
-		return e.emit(r, o)
+		return s.emit(r, o)
 	}
-	if int(o) >= e.r.NumNodes {
-		return nil
+	w := s.wideStart(expr, o)
+	if w.eng.A.Nullable && !emit(o) {
+		return errLimit
 	}
-	w := e.newWideState(expr)
-	if w.eng.A.Nullable {
-		if !emit(o) {
-			return errLimit
-		}
-	}
-	w.visited[o] = w.eng.F.Clone()
-	w.queue = append(w.queue, o)
-	w.states = append(w.states, w.eng.F.Clone())
-	return e.wideBFS(w, emit)
+	return s.wideBFS(w, nil, emit)
 }
 
-func (e *Engine) wideRunToConst(expr pathexpr.Node, o uint32, emit EmitFunc) error {
-	w := e.newWideState(expr)
-	w.visited[o] = w.eng.F.Clone()
-	w.queue = append(w.queue, o)
-	w.states = append(w.states, w.eng.F.Clone())
-	return e.wideBFS(w, func(r uint32) bool { return emit(r, 0) })
+func (s *evalState) wideRunToConst(expr pathexpr.Node, o uint32, emit EmitFunc) error {
+	return s.wideBFS(s.wideStart(expr, o), nil, func(r uint32) bool { return emit(r, 0) })
 }
 
-func (e *Engine) wideEvalBothConst(expr pathexpr.Node, s, o uint32) error {
-	if int(o) >= e.r.NumNodes || int(s) >= e.r.NumNodes {
+func (s *evalState) wideEvalBothConst(expr pathexpr.Node, src, o uint32) error {
+	if int(o) >= s.numNodes || int(src) >= s.numNodes {
 		return nil
 	}
-	w := e.newWideState(expr)
-	if w.eng.A.Nullable && s == o {
-		e.emit(s, o)
+	w := s.wideStart(expr, o)
+	if w.eng.A.Nullable && src == o {
+		s.emit(src, o)
 		return nil
 	}
-	w.visited[o] = w.eng.F.Clone()
-	w.queue = append(w.queue, o)
-	w.states = append(w.states, w.eng.F.Clone())
-	found := false
-	err := e.wideBFS(w, func(r uint32) bool {
-		if r == s {
-			found = true
-			e.emit(s, o)
+	return s.wideBFS(w, nil, func(r uint32) bool {
+		if r == src {
+			s.emit(src, o)
 			return false
 		}
 		return true
 	})
-	if found && errors.Is(err, errLimit) {
-		err = nil
-	}
-	return err
 }
 
-func (e *Engine) wideFullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
-	w := e.newWideState(expr)
+func (s *evalState) wideFullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
+	w := s.newWideState(expr)
 	base := w.eng.F.Clone()
 	if base.Test(0) {
 		base[0] &^= 1 // keep the initial state reportable
 	}
 	// Pre-visiting every node with base is impractical for multiword
 	// masks; instead fold base into the step's dedup check.
-	if err := e.wideStep(w, 0, e.r.N, w.eng.F, base, func(r uint32) bool { return emit(r, 0) }); err != nil {
-		return err
+	report := func(r uint32) bool { return emit(r, 0) }
+	for _, r := range s.memo.rings {
+		if r.N == 0 {
+			continue
+		}
+		if err := s.wideStep(r, w, 0, r.N, w.eng.F, base, report); err != nil {
+			return err
+		}
 	}
-	return e.wideBFSBase(w, base, func(r uint32) bool { return emit(r, 0) })
+	return s.wideBFS(w, base, report)
 }
 
-func (e *Engine) wideBFS(w *wideState, emit func(uint32) bool) error {
-	return e.wideBFSBase(w, nil, emit)
-}
-
-func (e *Engine) wideBFSBase(w *wideState, base glushkov.Mask, emit func(uint32) bool) error {
+func (s *evalState) wideBFS(w *wideState, base glushkov.Mask, emit func(uint32) bool) error {
 	for head := 0; head < len(w.queue); head++ {
 		node, d := w.queue[head], w.states[head]
-		b, end := e.r.ObjectRange(node)
-		if err := e.wideStep(w, b, end, d, base, emit); err != nil {
-			return err
+		for _, r := range s.memo.rings {
+			b, end := r.ObjectRange(node)
+			if b == end {
+				continue
+			}
+			if err := s.wideStep(r, w, b, end, d, base, emit); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// wideStep runs wideStepOn over the engine's single ring.
-func (e *Engine) wideStep(w *wideState, b, end int, d, base glushkov.Mask, emit func(uint32) bool) error {
-	if err := e.checkDeadline(); err != nil {
-		return err
-	}
-	return wideStepOn(e.r, w, b, end, d, base, &e.stats, emit)
-}
-
-// wideStepOn is the multiword analogue of step+part2 over one ring
-// (the single engine's, or one shard of the sharded engine — the
-// wideState, and hence the visited map, may span several rings):
+// wideStep is the multiword analogue of the §4 step over one ring:
 // part 1 enumerates all distinct predicates of the range (no B[v]
 // pruning) and filters by B[p]; part 2 enumerates distinct subjects and
 // dedups against the visited map.
-func wideStepOn(r *ring.Ring, w *wideState, b, end int, d, base glushkov.Mask, stats *Stats, emit func(uint32) bool) error {
+func (s *evalState) wideStep(r *ring.Ring, w *wideState, b, end int, d, base glushkov.Mask, emit func(uint32) bool) error {
+	if err := s.clock.Check(); err != nil {
+		return err
+	}
 	d2 := w.eng.NewMask()
 	var failure error
 	wavelet.RangeDistinct(r.Lp, b, end, func(p uint32, rb, re int) {
 		if failure != nil {
 			return
 		}
-		stats.WaveletVisits++
+		s.stats.WaveletVisits++
 		bp := w.eng.BFor(p)
 		if bp == nil || !d.Intersects(bp) {
 			return
 		}
-		stats.ProductEdges++
+		s.stats.ProductEdges++
 		w.eng.StepRevInto(d2, d, p)
 		if !d2.Any() {
 			return
 		}
 		lsB, lsE := r.Cp[p]+rb, r.Cp[p]+re
-		wavelet.RangeDistinct(r.Ls, lsB, lsE, func(s uint32, _, _ int) {
+		wavelet.RangeDistinct(r.Ls, lsB, lsE, func(src uint32, _, _ int) {
 			if failure != nil {
 				return
 			}
-			stats.WaveletVisits++
+			s.stats.WaveletVisits++
 			cand := d2.Clone()
 			if base != nil {
 				cand.AndNot(base)
 			}
-			fresh := w.enqueue(s, cand)
+			fresh := w.enqueue(src, cand)
 			if fresh == nil {
 				return
 			}
-			stats.ProductNodes++
-			if fresh.Test(0) && !emit(s) {
+			s.stats.ProductNodes++
+			if fresh.Test(0) && !emit(src) {
 				failure = errLimit
 			}
 		})

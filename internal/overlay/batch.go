@@ -1,92 +1,37 @@
 package overlay
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 
 	"ringrpq/internal/core"
-	"ringrpq/internal/glushkov"
-	"ringrpq/internal/obs"
 	"ringrpq/internal/wavelet"
 )
 
-// Frontier-batched union traversal: the union engine drains whole BFS
-// levels like core's batched path (one multi-range wavelet descent per
-// ring per level), recovering the PR-3 batching speedup that the
-// item-at-a-time union loop gives up. Each level runs two passes:
+// Tombstones and overlay adds in the union traversal. Each level runs
+// two passes, sharing the global visited mask and the per-ring D[v]
+// marks:
 //
-//   - batched (per ring): core.StepLevelMany over the level's
-//     coalesced L_p ranges. Tombstones are handled exactly through the
-//     LeafMask hook: per ring and overlay version, each tombstone's
-//     leaf rank under its subject is cached, and a part-2 leaf drops
-//     the items whose occurrences of the subject are all tombstoned —
-//     no per-leaf deletion probes and, crucially, no fragmentation of
-//     the coalesced ranges (a punched-out position would split them
-//     into thousands of single-gap pieces);
-//   - overlay: the object-sorted adds entering each frontier object,
-//     merged linearly against the sorted frontier.
-//
-// Both passes share the global visited mask and the per-ring D[v]
-// marks, so the visited product subgraph is exactly the one the
-// item-at-a-time union traversal explores.
-
-// batchCutoff mirrors core's: tiny levels expand item-at-a-time.
-const batchCutoff = 4
-
-// delRanks resolves (and caches per overlay version) each tombstone's
-// leaf rank under its subject in this ring's L_s: the triple (s, p, o)
-// occupies exactly one position of its backward-search range, and its
-// rank among the occurrences of s is Rank(s, lsB) — one rank probe per
-// tombstone, once per overlay version.
-func (e *Engine) delRanks(w *ringWork) map[uint32][]int {
-	if w.delRanksValid && w.delRanksVersion == e.ov.version {
-		return w.delRanks
-	}
-	m := map[uint32][]int{}
-	e.ov.EachDel(func(d Edge) bool {
-		r := w.r
-		if int(d.O) >= r.NumNodes || d.P >= r.NumPreds {
-			return true
-		}
-		b, end := r.ObjectRange(d.O)
-		if b == end {
-			return true
-		}
-		lsB, lsE := r.BackwardByPred(b, end, d.P)
-		r0 := r.Ls.Rank(d.S, lsB)
-		if r.Ls.Rank(d.S, lsE) == r0 {
-			return true // not in this ring
-		}
-		m[d.S] = append(m[d.S], r0)
-		return true
-	})
-	for _, rs := range m {
-		sort.Ints(rs)
-	}
-	w.delRanks = m
-	w.delRanksVersion = e.ov.version
-	w.delRanksValid = true
-	return m
-}
+//   - per ring, core's §4 step over the level's L_p ranges. Tombstones
+//     are handled exactly through the LeafMask hook: a part-2 leaf drops
+//     the items whose occurrences of the subject are all tombstoned,
+//     comparing the item's rank range with the leaf ranks of the
+//     subject's tombstones — no fragmentation of the coalesced ranges
+//     (a punched-out position would split them into thousands of
+//     single-gap pieces), and no per-version work: a subject's
+//     tombstones are found by one binary search and each one's rank is
+//     computed once per ring;
+//   - overlay: the object-sorted adds entering each level node.
 
 // leafMaskFor builds the part-2 LeafMask hook for one ring: the OR of
 // the item masks, minus items whose occurrences of the subject are all
-// tombstoned. Nil when the ring has no tombstones.
+// tombstoned. Nil when the overlay has no tombstones.
 func (e *Engine) leafMaskFor(w *ringWork) func(s uint32, its []wavelet.RangeMask) uint64 {
-	ranks := e.delRanks(w)
-	if len(ranks) == 0 {
+	if e.ov.DelCount() == 0 {
 		return nil
 	}
 	return func(s uint32, its []wavelet.RangeMask) uint64 {
+		rs := e.delRanks(w, s)
 		var all uint64
-		rs, ok := ranks[s]
-		if !ok {
-			for _, it := range its {
-				all |= it.Mask
-			}
-			return all
-		}
 		for _, it := range its {
 			lo := sort.SearchInts(rs, it.B)
 			hi := sort.SearchInts(rs, it.E)
@@ -98,149 +43,55 @@ func (e *Engine) leafMaskFor(w *ringWork) func(s uint32, its []wavelet.RangeMask
 	}
 }
 
-// drainFrontier sorts and merges the queued level into e.level
-// (duplicate nodes union their masks) and clears the queue.
-func (e *Engine) drainFrontier() []item {
-	slices.SortFunc(e.queue, func(a, b item) int { return cmp.Compare(a.node, b.node) })
-	e.level = e.level[:0]
-	for _, it := range e.queue {
-		if n := len(e.level); n > 0 && e.level[n-1].node == it.node {
-			e.level[n-1].d |= it.d
-			continue
+// delRanks lists, ascending, the leaf ranks of s's tombstoned
+// out-edges in the ring's L_s: the triple (s, p, o) occupies exactly
+// one position of its backward-search range, and its rank among the
+// occurrences of s is Rank(s, lsB). Tombstones are completed, so those
+// of s mirror the tombstones entering s, which the object-sorted dels
+// list contiguously. The ranks depend on the static ring only, so each
+// is computed once (-1: the triple lives in another ring).
+func (e *Engine) delRanks(w *ringWork, s uint32) []int {
+	rs := w.ranks[:0]
+	dels := e.ov.dels
+	half := e.numPreds / 2
+	for i := sort.Search(len(dels), func(k int) bool { return dels[k].O >= s }); i < len(dels) && dels[i].O == s; i++ {
+		p := dels[i].P + half
+		if dels[i].P >= half {
+			p = dels[i].P - half
 		}
-		e.level = append(e.level, it)
-	}
-	e.queue = e.queue[:0]
-	return e.level
-}
-
-// lpItemsFor converts a level into one ring's sorted disjoint L_p
-// range items, coalescing adjacent equal-mask ranges.
-func (e *Engine) lpItemsFor(w *ringWork, level []item) []wavelet.RangeMask {
-	e.lpItems = e.lpItems[:0]
-	for _, it := range level {
-		if int(it.node) >= w.r.NumNodes {
-			continue
-		}
-		b, end := w.r.ObjectRange(it.node)
-		if b >= end {
-			continue
-		}
-		if n := len(e.lpItems); n > 0 && e.lpItems[n-1].E == b && e.lpItems[n-1].Mask == it.d {
-			e.lpItems[n-1].E = end
-			continue
-		}
-		e.lpItems = append(e.lpItems, wavelet.RangeMask{B: b, E: end, Mask: it.d})
-	}
-	return e.lpItems
-}
-
-// batchLeaf is the batched part-2 leaf action: global dedup, marking,
-// emission and next-level enqueueing (the batched arrive).
-func (e *Engine) batchLeaf(eng *glushkov.Engine, s uint32, all uint64, emit core.EmitFunc) error {
-	newStates := all &^ (e.visited.Get(int(s)) | e.base)
-	if newStates == 0 {
-		return nil
-	}
-	e.stats.ProductNodes++
-	e.markNode(s, all)
-	if newStates&eng.Init != 0 {
-		if !emit(s, 0) {
-			return errLimit
-		}
-		newStates &^= eng.Init
-	}
-	if newStates != 0 && e.hasInEdges(s) {
-		e.queue = append(e.queue, item{s, newStates})
-	}
-	return nil
-}
-
-// bfsBatched drains the worklist level-synchronously with the
-// two-pass expansion above.
-func (e *Engine) bfsBatched(eng *glushkov.Engine, emit core.EmitFunc) error {
-	for len(e.queue) > 0 {
-		if err := e.checkDeadline(); err != nil {
-			return err
-		}
-		level := e.drainFrontier()
-		sp, visits0 := -1, 0
-		if e.trace != nil {
-			visits0 = e.stats.WaveletVisits
-			sp = e.trace.Begin(obs.SpanLevel)
-		}
-		if len(level) < batchCutoff {
-			var err error
-			for _, it := range level {
-				if err = e.expand(eng, it.node, it.d, emit); err != nil {
-					break
+		t := Edge{S: s, P: p, O: dels[i].S}
+		r0, ok := w.rankOf[t]
+		if !ok {
+			r0 = -1
+			if r := w.R; int(t.O) < r.NumNodes {
+				b, end := r.ObjectRange(t.O)
+				lsB, lsE := r.BackwardByPred(b, end, t.P)
+				if k := r.Ls.Rank(s, lsB); r.Ls.Rank(s, lsE) > k {
+					r0 = k
 				}
 			}
-			e.trace.EndVals(sp, int64(len(level)), int64(e.stats.WaveletVisits-visits0))
-			if err != nil {
-				return err
-			}
-			continue
+			w.rankOf[t] = r0
 		}
-		// Batched expansion per ring; tombstoned triples are punched out
-		// of the part-2 ranges positionally.
-		for _, w := range e.work {
-			items := e.lpItemsFor(w, level)
-			if len(items) == 0 {
-				continue
-			}
-			lo := core.LevelOwner{
-				R: w.r, BNode: w.bNode, DNode: w.dNode, Stats: &e.stats,
-				St: e.st, BArr: w.bArr,
-				Check:    e.checkDeadline,
-				LeafMask: e.leafMaskFor(w),
-				Leaf: func(s uint32, all, fresh uint64) error {
-					return e.batchLeaf(eng, s, all, emit)
-				},
-			}
-			var err error
-			e.lsItems, err = core.StepLevelMany(&lo, eng, items, e.lsItems, e.base)
-			if err != nil {
-				e.trace.EndVals(sp, int64(len(level)), int64(e.stats.WaveletVisits-visits0))
-				return err
-			}
-		}
-		// Overlay adds entering the frontier (both sorted by object: a
-		// linear merge instead of per-node binary searches).
-		err := e.overlayLevel(eng, level, emit)
-		e.trace.EndVals(sp, int64(len(level)), int64(e.stats.WaveletVisits-visits0))
-		if err != nil {
-			return err
+		if r0 >= 0 {
+			rs = append(rs, r0)
 		}
 	}
-	return nil
+	sort.Ints(rs)
+	w.ranks = rs
+	return rs
 }
 
-// overlayLevel merges the sorted frontier with the object-sorted
-// overlay adds and NFA-steps each matching edge.
-func (e *Engine) overlayLevel(eng *glushkov.Engine, level []item, emit core.EmitFunc) error {
+// overlayLevel NFA-steps each overlay add entering a level node. Both
+// are sorted by object, so each node's adds are found by a binary
+// search of the adds past the previous node's: O(|level| log |adds|)
+// for small levels and large ones alike.
+func (e *Engine) overlayLevel(level []core.Item) error {
 	adds := e.ov.adds
-	i := 0
 	for _, it := range level {
-		for i < len(adds) && adds[i].O < it.node {
-			i++
-		}
-		for j := i; j < len(adds) && adds[j].O == it.node; j++ {
-			// Per-edge deadline probe: one level can touch many adds.
-			if err := e.checkDeadline(); err != nil {
+		adds = adds[sort.Search(len(adds), func(k int) bool { return adds[k].O >= it.Node }):]
+		for j := 0; j < len(adds) && adds[j].O == it.Node; j++ {
+			if err := e.stepAdd(it.D, adds[j].P, adds[j].S); err != nil {
 				return err
-			}
-			bp := e.st.PredMask(adds[j].P)
-			if it.d&bp == 0 {
-				continue
-			}
-			e.stats.ProductEdges++
-			d2 := e.st.StepBack(it.d & bp)
-			if d2 == 0 {
-				continue
-			}
-			if !e.arrive(eng, adds[j].S, d2, emit) {
-				return e.failure
 			}
 		}
 	}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"ringrpq/internal/core"
 	"ringrpq/internal/enginetest"
+	"ringrpq/internal/obs"
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/ring"
 	"ringrpq/internal/triples"
@@ -180,14 +182,9 @@ func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int, shards 
 func runCase(t *testing.T, sc *scenario, eng *Engine, subject int64, expr pathexpr.Node, object int64) {
 	t.Helper()
 	want := enginetest.SortPairs(enginetest.Oracle(sc.gMerged, subject, expr, object))
-	// Both traversal modes (frontier-batched and item-at-a-time) and
-	// both stepping tiers (compiled stepper, interpreter) must match
-	// the oracle.
-	for _, opts := range []core.Options{
-		{}, {DisableBatching: true},
-		{CompileEager: true}, {DisableCompiled: true},
-		{CompileEager: true, DisableBatching: true},
-	} {
+	// The hotness default and both stepping tiers (compiled stepper,
+	// interpreter) must match the oracle.
+	for _, opts := range []core.Options{{}, {CompileEager: true}, {DisableCompiled: true}} {
 		var got []enginetest.Pair
 		_, err := eng.Eval(context.Background(), core.Query{Subject: subject, Expr: expr, Object: object}, opts, func(s, o uint32) bool {
 			got = append(got, enginetest.Pair{S: s, O: o})
@@ -198,13 +195,13 @@ func runCase(t *testing.T, sc *scenario, eng *Engine, subject int64, expr pathex
 		}
 		got = enginetest.SortPairs(got)
 		if len(got) != len(want) {
-			t.Fatalf("Eval(%v, %s, %v) batching=%v: %d pairs, oracle %d\n got=%v\nwant=%v",
-				subject, pathexpr.String(expr), object, !opts.DisableBatching, len(got), len(want), got, want)
+			t.Fatalf("Eval(%v, %s, %v) %+v: %d pairs, oracle %d\n got=%v\nwant=%v",
+				subject, pathexpr.String(expr), object, opts, len(got), len(want), got, want)
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("Eval(%v, %s, %v) batching=%v: pair %d = %v, oracle %v",
-					subject, pathexpr.String(expr), object, !opts.DisableBatching, i, got[i], want[i])
+				t.Fatalf("Eval(%v, %s, %v) %+v: pair %d = %v, oracle %v",
+					subject, pathexpr.String(expr), object, opts, i, got[i], want[i])
 			}
 		}
 	}
@@ -320,14 +317,13 @@ func TestUnionEngineLimitTimeout(t *testing.T) {
 
 // A 1ns deadline on a dense overlaid graph must interrupt the union
 // traversal inside its per-edge/per-leaf loops — ring descents and
-// overlay merges alike — in every mode and stepping tier.
+// overlay merges alike — in every stepping tier.
 func TestUnionEngineTimeoutProbedInInnerLoops(t *testing.T) {
 	_, eng := buildScenario(t, 21, 150, 2, 1800, 100, 1, ring.WaveletMatrix)
 	expr := pathexpr.MustParse("(pa|pb)+")
 	q := core.Query{Subject: core.Variable, Expr: expr, Object: core.Variable}
 	for _, opts := range []core.Options{
 		{Timeout: time.Nanosecond},
-		{Timeout: time.Nanosecond, DisableBatching: true},
 		{Timeout: time.Nanosecond, CompileEager: true},
 		{Timeout: time.Nanosecond, DisableCompiled: true},
 	} {
@@ -339,6 +335,114 @@ func TestUnionEngineTimeoutProbedInInnerLoops(t *testing.T) {
 		}
 		if elapsed > 5*time.Second {
 			t.Fatalf("opts=%+v: 1ns deadline took %v", opts, elapsed)
+		}
+	}
+}
+
+// cutoffCase builds a union engine over a static graph of the given
+// edges, with the overlay tombstoning del (a static in-edge of the
+// query's start object) and adding add, plus the merged oracle graph.
+// Node ids follow the order of nodes.
+func cutoffCase(t *testing.T, nodes []string, static [][3]string, del, add [3]string) (*Engine, *triples.Graph) {
+	t.Helper()
+	build := func(edges [][3]string) *triples.Graph {
+		b := triples.NewBuilder()
+		for _, n := range nodes {
+			b.Nodes().Intern(n)
+		}
+		b.Preds().Intern("pa")
+		b.Preds().Intern("pb")
+		for _, e := range edges {
+			b.Add(e[0], e[1], e[2])
+		}
+		return b.Build()
+	}
+	g := build(static)
+	var merged [][3]string
+	for _, e := range static {
+		if e != del {
+			merged = append(merged, e)
+		}
+	}
+	r := ring.New(g, ring.WaveletMatrix)
+	ids := func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) }
+	complete := func(e [3]string) []Edge {
+		s, _ := g.Nodes.Lookup(e[0])
+		o, _ := g.Nodes.Lookup(e[2])
+		p, _ := g.PredID(e[1], false)
+		return []Edge{{S: s, P: p, O: o}, {S: o, P: p + g.NumPreds, O: s}}
+	}
+	ov := New().Apply(1, complete(add), complete(del), func(e Edge) bool { return r.Has(e.S, e.P, e.O) })
+	if ov.DelCount() != 2 || ov.AddCount() != 2 {
+		t.Fatalf("overlay has %d tombstones and %d adds, want 2 and 2", ov.DelCount(), ov.AddCount())
+	}
+	eng := NewEngine(core.NewEngine(r, ids), []*ring.Ring{r}, ids, g.NumCompletedPreds())
+	eng.SetSnapshot(ov, g.NumNodes())
+	return eng, build(append(merged, add))
+}
+
+// Both sides of the batch cutoff must match the oracle through the
+// union engine, with a tombstoned in-edge on the start object (dropped
+// by the positional LeafMask hook on either side): a chain, whose
+// levels are all single nodes (the per-item descent), and a fan whose
+// first level has 15 nodes with interleaved, never-coalescing object
+// ranges (the batched descent).
+func TestUnionEngineCutoffSidesMatchOracle(t *testing.T) {
+	preds := [2]string{"pa", "pb"}
+	var chainNodes []string
+	var chain [][3]string
+	for i := 0; i <= 11; i++ {
+		chainNodes = append(chainNodes, fmt.Sprintf("v%02d", i))
+	}
+	chainNodes = append(chainNodes, "x", "y")
+	for i := 0; i < 11; i++ {
+		chain = append(chain, [3]string{chainNodes[i], preds[i%2], chainNodes[i+1]})
+	}
+	chain = append(chain, [3]string{"x", "pa", "v11"})
+	fanNodes := []string{"hub"}
+	var fan [][3]string
+	for i := 0; i < 16; i++ {
+		a, b := fmt.Sprintf("a%02d", i), fmt.Sprintf("b%02d", i)
+		fanNodes = append(fanNodes, a, b)
+		fan = append(fan, [3]string{a, preds[i%2], "hub"}, [3]string{b, preds[i%2], a})
+	}
+	fanNodes = append(fanNodes, "y")
+	for _, tc := range []struct {
+		name     string
+		nodes    []string
+		static   [][3]string
+		del, add [3]string
+		start    string
+		batched  bool
+	}{
+		{"chain", chainNodes, chain, [3]string{"x", "pa", "v11"}, [3]string{"y", "pb", "v05"}, "v11", false},
+		{"fan", fanNodes, fan, [3]string{"a00", "pa", "hub"}, [3]string{"y", "pb", "a03"}, "hub", true},
+	} {
+		eng, merged := cutoffCase(t, tc.nodes, tc.static, tc.del, tc.add)
+		o, _ := merged.Nodes.Lookup(tc.start)
+		expr := pathexpr.MustParse("(pa|pb)+")
+		want := enginetest.SortPairs(enginetest.Oracle(merged, core.Variable, expr, int64(o)))
+		for _, opts := range []core.Options{{}, {CompileEager: true}} {
+			tr := obs.New()
+			opts.Trace = tr
+			var got []enginetest.Pair
+			_, err := eng.Eval(context.Background(), core.Query{Subject: core.Variable, Expr: expr, Object: int64(o)}, opts,
+				func(s, o uint32) bool { got = append(got, enginetest.Pair{S: s, O: o}); return true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got = enginetest.SortPairs(got); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: got %v, oracle %v", tc.name, got, want)
+			}
+			maxFrontier := int64(0)
+			for _, sp := range tr.Spans() {
+				if sp.Kind == obs.SpanLevel {
+					maxFrontier = max(maxFrontier, sp.Vals[0])
+				}
+			}
+			if (maxFrontier >= 4) != tc.batched {
+				t.Fatalf("%s: widest level %d nodes, want batched=%v", tc.name, maxFrontier, tc.batched)
+			}
 		}
 	}
 }

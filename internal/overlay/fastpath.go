@@ -90,7 +90,7 @@ func (e *Engine) fastSingle(p uint32, dedup bool, emit core.EmitFunc) error {
 		return nil
 	}
 	for _, w := range e.work {
-		r := w.r
+		r := w.R
 		b, end := r.PredRange(p)
 		if b == end {
 			continue
@@ -104,7 +104,7 @@ func (e *Engine) fastSingle(p uint32, dedup bool, emit core.EmitFunc) error {
 			if !leaf {
 				return true
 			}
-			if err := e.checkDeadline(); err != nil {
+			if err := e.clock.Check(); err != nil {
 				failure = err
 				return false
 			}
@@ -171,29 +171,29 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym, emit core.EmitFunc) error {
 
 	var srcs, dsts []uint32
 	perMiddle := func(z uint32) error {
-		if err := e.checkDeadline(); err != nil {
+		if err := e.clock.Check(); err != nil {
 			return err
 		}
 		srcs, dsts = srcs[:0], dsts[:0]
 		for _, w := range e.work {
-			if int(z) >= w.r.NumNodes {
+			if int(z) >= w.R.NumNodes {
 				continue
 			}
-			ob, oe := w.r.ObjectRange(z)
+			ob, oe := w.R.ObjectRange(z)
 			if ob == oe {
 				continue
 			}
-			srcB, srcE := w.r.BackwardByPred(ob, oe, p1)
+			srcB, srcE := w.R.BackwardByPred(ob, oe, p1)
 			if srcB < srcE {
-				wavelet.RangeDistinct(w.r.Ls, srcB, srcE, func(s uint32, _, _ int) {
+				wavelet.RangeDistinct(w.R.Ls, srcB, srcE, func(s uint32, _, _ int) {
 					if !del1 || !e.ov.Deleted(Edge{S: s, P: p1, O: z}) {
 						srcs = append(srcs, s)
 					}
 				})
 			}
-			dstB, dstE := w.r.BackwardByPred(ob, oe, p2Inv)
+			dstB, dstE := w.R.BackwardByPred(ob, oe, p2Inv)
 			if dstB < dstE {
-				wavelet.RangeDistinct(w.r.Ls, dstB, dstE, func(o uint32, _, _ int) {
+				wavelet.RangeDistinct(w.R.Ls, dstB, dstE, func(o uint32, _, _ int) {
 					if !del2 || !e.ov.Deleted(Edge{S: z, P: p2, O: o}) {
 						dsts = append(dsts, o)
 					}
@@ -227,11 +227,11 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym, emit core.EmitFunc) error {
 	zSeen := map[uint32]bool{}
 	var failure error
 	for _, w := range e.work {
-		b, end := w.r.PredRange(p1Inv)
+		b, end := w.R.PredRange(p1Inv)
 		if b == end {
 			continue
 		}
-		wavelet.RangeDistinct(w.r.Ls, b, end, func(z uint32, _, _ int) {
+		wavelet.RangeDistinct(w.R.Ls, b, end, func(z uint32, _, _ int) {
 			if failure != nil {
 				return
 			}

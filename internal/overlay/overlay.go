@@ -46,15 +46,14 @@ type Batch struct {
 // unless it revives a tombstone), dels ⊆ static (a delete of an absent
 // edge is a no-op), adds ∩ dels = ∅. Both sets are sorted by (O, P, S)
 // — object-major, because the engine's backward traversal asks for the
-// in-edges of an object.
+// in-edges of an object — and, since callers apply completed edges,
+// closed under the mirror (s, p, o) ↔ (o, p̂, s): the tombstones leaving
+// a node are the mirrors of those entering it.
 type Overlay struct {
 	adds []Edge
 	dels []Edge
-	// delsPS and addsPS mirror dels/adds sorted by (P, S, O): the
-	// engine's full-range phase needs "how many targets of (s, p, ·)
-	// are tombstoned", and the §5-style fast paths scan adds
-	// predicate-major.
-	delsPS []Edge
+	// addsPS mirrors adds sorted by (P, S, O): the §5-style fast paths
+	// scan adds predicate-major.
 	addsPS []Edge
 
 	// batches is the replay log since the static snapshot was built;
@@ -162,8 +161,6 @@ func (o *Overlay) Apply(version uint64, adds, dels []Edge, inStatic func(Edge) b
 	}
 	sortEdges(n.adds)
 	sortEdges(n.dels)
-	n.delsPS = append([]Edge(nil), n.dels...)
-	sort.Slice(n.delsPS, func(i, j int) bool { return cmpEdgePS(n.delsPS[i], n.delsPS[j]) < 0 })
 	n.addsPS = append([]Edge(nil), n.adds...)
 	sort.Slice(n.addsPS, func(i, j int) bool { return cmpEdgePS(n.addsPS[i], n.addsPS[j]) < 0 })
 	for _, e := range n.adds {
@@ -263,20 +260,6 @@ func (o *Overlay) AddsForPredSubject(p, s uint32, fn func(oo uint32) bool) bool 
 		}
 	}
 	return true
-}
-
-// DeletedPS counts the tombstones with predicate p and subject s (the
-// full-range step compares it with the subject's multiplicity to
-// decide whether any (s, p, ·) edge survives).
-func (o *Overlay) DeletedPS(p, s uint32) int {
-	lo := sort.Search(len(o.delsPS), func(i int) bool {
-		return cmpEdgePS(o.delsPS[i], Edge{P: p, S: s, O: 0}) >= 0
-	})
-	hi := lo
-	for hi < len(o.delsPS) && o.delsPS[hi].P == p && o.delsPS[hi].S == s {
-		hi++
-	}
-	return hi - lo
 }
 
 // Has reports whether e is a live overlay add.

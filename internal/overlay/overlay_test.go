@@ -77,9 +77,6 @@ func TestInEdgesAndCounts(t *testing.T) {
 			t.Fatalf("InEdges not ordered: %v", got)
 		}
 	}
-	if ov.DeletedPS(1, 0) != 1 || ov.DeletedPS(1, 1) != 0 || ov.DeletedPS(1, 2) != 1 {
-		t.Fatalf("DeletedPS counts wrong: %d %d %d", ov.DeletedPS(1, 0), ov.DeletedPS(1, 1), ov.DeletedPS(1, 2))
-	}
 	if !ov.TouchesPred(0) || !ov.TouchesPred(1) || !ov.TouchesPred(2) || ov.TouchesPred(3) {
 		t.Fatalf("TouchesPred wrong")
 	}

@@ -124,7 +124,7 @@ func (r *wideRun) drain() error {
 		if d == nil || !d.Any() {
 			continue
 		}
-		if err := r.e.checkDeadline(); err != nil {
+		if err := r.e.clock.Check(); err != nil {
 			return err
 		}
 		stopped := false
@@ -149,7 +149,7 @@ func (r *wideRun) drain() error {
 
 // wideEvalToConst mirrors evalToConst beyond 64 states.
 func (e *Engine) wideEvalToConst(expr pathexpr.Node, o uint32, swap bool, emit core.EmitFunc) error {
-	wd := e.wideFor(e.compile(expr))
+	wd := e.memo.Wide(e.compile(expr))
 	if int(o) >= e.numNodes {
 		return nil
 	}
@@ -171,7 +171,7 @@ func (e *Engine) wideEvalToConst(expr pathexpr.Node, o uint32, swap bool, emit c
 
 // wideEvalBothConst mirrors evalBothConst beyond 64 states.
 func (e *Engine) wideEvalBothConst(expr pathexpr.Node, s, o uint32, emit core.EmitFunc) error {
-	wd := e.wideFor(e.compile(expr))
+	wd := e.memo.Wide(e.compile(expr))
 	if int(o) >= e.numNodes || int(s) >= e.numNodes {
 		return nil
 	}
@@ -200,11 +200,11 @@ func (e *Engine) wideEvalBothConst(expr pathexpr.Node, s, o uint32, emit core.Em
 // self-pairs, a multi-seeded phase collecting sources, then one
 // constrained traversal of the inverse expression per source.
 func (e *Engine) wideEvalBothVar(expr pathexpr.Node, emit core.EmitFunc) error {
-	wd := e.wideFor(e.compile(expr))
+	wd := e.memo.Wide(e.compile(expr))
 	nullable := wd.A.Nullable
 	if nullable {
 		for v := 0; v < e.numNodes; v++ {
-			if err := e.checkDeadline(); err != nil {
+			if err := e.clock.Check(); err != nil {
 				return err
 			}
 			if !emit(uint32(v), uint32(v)) {
@@ -236,7 +236,7 @@ func (e *Engine) wideEvalBothVar(expr pathexpr.Node, emit core.EmitFunc) error {
 
 	// Phase 2: enumerate objects per source via the inverse expression.
 	inv := pathexpr.InverseOf(expr)
-	iwd := e.wideFor(e.compile(inv))
+	iwd := e.memo.Wide(e.compile(inv))
 	for _, s := range starts {
 		s := s
 		run2 := e.newWideRun(iwd, func(o uint32) bool {
