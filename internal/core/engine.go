@@ -266,7 +266,8 @@ func (s *evalState) evalBothConst(expr pathexpr.Node, src, o uint32) error {
 // L_p range finds every node that can start a matching path; a second
 // per-source traversal enumerates its reachable objects. The orientation
 // is chosen by predicate selectivity (§5: "we choose to start from the
-// end whose predicate has the smallest cardinality").
+// end whose predicate has the smallest cardinality"), applied to the
+// per-candidate traversals (see StartFromObjects).
 func (s *evalState) evalBothVar(expr pathexpr.Node) error {
 	// Nullable expressions relate every node to itself via the empty
 	// path; emit those pairs upfront, then suppress (v,v) rediscovery.
@@ -361,12 +362,13 @@ func Phase2Emit(emit EmitFunc, v uint32, fromObjects, nullable bool) EmitFunc {
 	}
 }
 
-// StartFromObjects decides the phase-1 orientation of a v→v query: true
-// means collect objects first (traverse Ê), false sources first
-// (traverse E). The backward traversal's initial step scans the last
-// positions' predicates, so the cheaper orientation is the one whose
-// boundary predicates select fewer triples; card counts the triples of
-// a completed predicate.
+// StartFromObjects decides the orientation of a v→v query: true means
+// phase 1 collects objects (traverses Ê) and phase 2 runs E from each
+// of them, false the reverse; card counts the triples of a completed
+// predicate. Phase 2 runs once per candidate and each run starts by
+// scanning its end's boundary predicates, so it starts at the end
+// whose predicates select fewer triples (§5); phase 1 scans the other
+// end once, in its full-range batched descent. Ties collect sources.
 func StartFromObjects(a *glushkov.Automaton, card func(c uint32) int) bool {
 	count := func(positions []int32) int {
 		total := 0
@@ -379,7 +381,7 @@ func StartFromObjects(a *glushkov.Automaton, card func(c uint32) int) bool {
 	}
 	// First positions start paths (near subjects), last positions end
 	// them (near objects).
-	return count(a.Follow[0]) < count(a.Last)
+	return count(a.Follow[0]) > count(a.Last)
 }
 
 // Engine evaluates queries over a ring. It owns reusable working arrays,

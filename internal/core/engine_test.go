@@ -425,6 +425,46 @@ func TestWorkBoundedByProductSubgraph(t *testing.T) {
 	}
 }
 
+// A v→v query's per-candidate traversals must start at the end whose
+// boundary predicates select fewer triples (§5). On pa/pb* and its
+// mirror pb*/pa over a 200-node pb chain fed by three pa edges,
+// starting them at the pb end walks the chain once per candidate,
+// quadratic in its length; from the pa end the work stays within two
+// product nodes per result.
+func TestVarVarStartsAtSelectiveEnd(t *testing.T) {
+	b := triples.NewBuilder()
+	for _, e := range enginetest.RareIntoChain(200) {
+		b.Add(e[0], e[1], e[2])
+	}
+	g := b.Build()
+	set := ring.NewShardSet(g, 3, modPartitioner{}, ring.WaveletMatrix)
+	for _, src := range []string{"pa/pb*", "pb*/pa"} {
+		q := Query{Subject: Variable, Expr: pathexpr.MustParse(src), Object: Variable}
+		want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
+		for _, ev := range []struct {
+			name string
+			e    Evaluator
+		}{
+			{"engine", newEngine(g, ring.WaveletMatrix)},
+			{"sharded", NewShardedEngine(set, idsOf(g))},
+		} {
+			var got []enginetest.Pair
+			st, err := ev.e.Eval(context.Background(), q, Options{}, func(s, o uint32) bool {
+				got = append(got, enginetest.Pair{S: s, O: o})
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffPairs(t, ev.name, enginetest.SortPairs(got), want, q)
+			if st.ProductNodes > 2*st.Results+2 {
+				t.Errorf("%s: %s activated %d product nodes for %d results, want at most %d",
+					ev.name, src, st.ProductNodes, st.Results, 2*st.Results+2)
+			}
+		}
+	}
+}
+
 func nodeName(i int) string {
 	return "v" + string(rune('A'+i%26)) + string(rune('a'+i/26))
 }

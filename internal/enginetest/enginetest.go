@@ -5,6 +5,7 @@
 package enginetest
 
 import (
+	"fmt"
 	"math/rand"
 
 	"ringrpq/internal/pathexpr"
@@ -51,6 +52,21 @@ func RandomGraph(seed int64, nv, np, ne int) *triples.Graph {
 		b.AddIDs(uint32(rng.Intn(nv)), uint32(rng.Intn(np)), uint32(rng.Intn(nv)))
 	}
 	return b.Build()
+}
+
+// RareIntoChain lists the edges of a graph where a rare predicate pa
+// (three edges) meets both ends of a dense pb chain c000 → … → c(n-1):
+// x0 and x1 point at its head, its tail points at y0. On pa/pb* and
+// pb*/pa one end of the query selects three triples and the other
+// n+2, so a v→v traversal that starts at the pb end walks the chain
+// once per candidate.
+func RareIntoChain(n int) [][3]string {
+	chain := func(i int) string { return fmt.Sprintf("c%03d", i) }
+	edges := [][3]string{{"x0", "pa", chain(0)}, {"x1", "pa", chain(0)}}
+	for i := 0; i+1 < n; i++ {
+		edges = append(edges, [3]string{chain(i), "pb", chain(i + 1)})
+	}
+	return append(edges, [3]string{chain(n - 1), "pa", "y0"})
 }
 
 func nodeName(i int) string { return "n" + string(rune('A'+i%26)) + string(rune('0'+i/26)) }

@@ -369,9 +369,9 @@ func (e *Engine) evalBothConst(expr pathexpr.Node, s, o uint32, emit core.EmitFu
 // evalBothVar evaluates (x, E, y): nullable self-pairs first, then a
 // full-range phase collecting candidate endpoints, then one
 // constrained traversal per candidate (§4.4's two-phase strategy).
-// Like core, the orientation is chosen by boundary-predicate
-// cardinality: start from the end whose first backward scan selects
-// fewer triples (§5), counting overlay adds alongside the rings.
+// The orientation is core.StartFromObjects': phase 2 starts at the end
+// whose boundary predicates select fewer triples, the cardinalities
+// counting overlay adds alongside the rings.
 func (e *Engine) evalBothVar(expr pathexpr.Node, emit core.EmitFunc) error {
 	c := e.compile(expr)
 	if c.Eng == nil || e.noCompile {

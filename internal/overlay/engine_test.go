@@ -446,3 +446,41 @@ func TestUnionEngineCutoffSidesMatchOracle(t *testing.T) {
 		}
 	}
 }
+
+// A v→v query's per-candidate traversals start at its selective end
+// through the union engine too, counting overlay adds and tombstones:
+// pa/pb* and pb*/pa over a 200-node pb chain fed by three pa edges, one
+// of them tombstoned and one pa edge added, stay within two product
+// nodes per result.
+func TestUnionEngineVarVarStartsAtSelectiveEnd(t *testing.T) {
+	static := enginetest.RareIntoChain(200)
+	add := [3]string{"x2", "pa", "c000"}
+	var nodes []string
+	seen := map[string]bool{}
+	for _, e := range append(static, add) {
+		for _, n := range []string{e[0], e[2]} {
+			if !seen[n] {
+				seen[n] = true
+				nodes = append(nodes, n)
+			}
+		}
+	}
+	eng, merged := cutoffCase(t, nodes, static, [3]string{"x1", "pa", "c000"}, add)
+	for _, src := range []string{"pa/pb*", "pb*/pa"} {
+		expr := pathexpr.MustParse(src)
+		want := enginetest.SortPairs(enginetest.Oracle(merged, core.Variable, expr, core.Variable))
+		var got []enginetest.Pair
+		st, err := eng.Eval(context.Background(), core.Query{Subject: core.Variable, Expr: expr, Object: core.Variable}, core.Options{},
+			func(s, o uint32) bool { got = append(got, enginetest.Pair{S: s, O: o}); return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = enginetest.SortPairs(got); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: got %d pairs, oracle %d", src, len(got), len(want))
+		}
+		if st.ProductNodes > 2*st.Results+2 {
+			t.Errorf("%s activated %d product nodes for %d results, want at most %d",
+				src, st.ProductNodes, st.Results, 2*st.Results+2)
+		}
+	}
+}
