@@ -55,10 +55,11 @@ bench:
 	$(GO) test -run NONE -bench 'Service' -benchtime 2s .
 
 # One-iteration smoke run of the hot-path micro-benchmarks (broadword
-# select, multi-range wavelet descent, the level-synchronous BFS): makes
-# sure the benchmark code keeps compiling and running under ci.
+# select, bitvector and wavelet rank, multi-range wavelet descent, the
+# level-synchronous BFS): makes sure the benchmark code keeps compiling
+# and running under ci.
 bench-short:
-	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS' -benchtime 1x \
+	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS|Rank' -benchtime 1x \
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 

@@ -1,8 +1,11 @@
 // Package bitvec provides plain bitvectors with constant-time rank and
 // near-constant-time select, the building blocks of the wavelet trees used
-// by the ring index (paper §3.5). The rank directory follows the classic
-// two-level scheme of Clark and Munro: absolute counts every superblock
-// plus popcounts per 64-bit word, for o(n) extra bits in practice.
+// by the ring index (paper §3.5). The rank directory is one 64-bit word per
+// 512-bit superblock (12.5% overhead) holding two levels of counts, after
+// Vigna's rank9 and Zhou, Andersen and Kaminsky's poppy: the ones before
+// the superblock, and the ones in its first 128, 256 and 384 bits. A rank
+// reads that word, adds one count from it, and popcounts at most one full
+// word and one masked word of the superblock's 64 bytes of data.
 package bitvec
 
 import (
@@ -10,12 +13,23 @@ import (
 	"math/bits"
 )
 
-// wordsPerSuper is the number of 64-bit words per rank superblock.
-// 8 words = 512 bits per superblock, giving 64 bits of directory per
-// 512 bits of data (12.5% overhead) and at most 7 popcounts per rank.
+// wordsPerSuper is the number of 64-bit words per rank superblock:
+// 8 words = 512 bits per superblock, one directory word each.
 const wordsPerSuper = 8
 
 const superBits = wordsPerSuper * 64
+
+// A directory word holds the ones before its superblock in bits 0–35
+// (so a vector holds fewer than 2^36 bits) and, in three 9-bit fields,
+// the ones in the superblock's first 128 bits (bits 54–62), first 256
+// bits (45–53) and first 384 bits (36–44). Bit 63 stays zero, so the
+// field of 128-bit sub-block k starts at bit 63-9k for every k in 0..3,
+// the field for k = 0 reading as zero.
+const (
+	beforeBits = 36
+	beforeMask = 1<<beforeBits - 1
+	subMask    = 1<<9 - 1
+)
 
 // selectSample controls the sampling rate of the select directory:
 // one sampled position per selectSample one-bits.
@@ -82,13 +96,15 @@ func FromBools(bs []bool) *Vector {
 
 // Vector is an immutable bitvector supporting O(1) Rank and
 // O(log superblocks)-bounded Select. Build once, query concurrently.
+// It holds fewer than 2^36 bits; building a longer one panics.
 type Vector struct {
 	words []uint64
 	n     int
 
-	// super[i] = number of one-bits strictly before superblock i.
-	super []uint64
-	ones  int
+	// dir[i] is the directory word of superblock i (see beforeBits);
+	// dir[len(dir)-1] holds the total ones.
+	dir  []uint64
+	ones int
 
 	// sel1[k] = index of the superblock containing the (k*selectSample+1)-th
 	// one-bit; narrows the binary search for Select1. sel0 likewise for zeros.
@@ -97,18 +113,31 @@ type Vector struct {
 }
 
 func (v *Vector) buildRank() {
-	nSuper := (len(v.words) + wordsPerSuper - 1) / wordsPerSuper
-	v.super = make([]uint64, nSuper+1)
-	var acc uint64
-	for i, w := range v.words {
-		if i%wordsPerSuper == 0 {
-			v.super[i/wordsPerSuper] = acc
-		}
-		acc += uint64(bits.OnesCount64(w))
+	if v.n >= 1<<beforeBits {
+		panic(fmt.Sprintf("bitvec: %d bits, the rank directory holds fewer than 2^%d", v.n, beforeBits))
 	}
-	v.super[nSuper] = acc
+	nSuper := (len(v.words) + wordsPerSuper - 1) / wordsPerSuper
+	v.dir = make([]uint64, nSuper+1)
+	var acc uint64
+	for sb := 0; sb < nSuper; sb++ {
+		d, in := acc, uint64(0)
+		for j := 0; j < wordsPerSuper; j++ {
+			if j%2 == 0 {
+				d |= in << (63 - 9*j/2)
+			}
+			if wi := sb*wordsPerSuper + j; wi < len(v.words) {
+				in += uint64(bits.OnesCount64(v.words[wi]))
+			}
+		}
+		v.dir[sb] = d
+		acc += in
+	}
+	v.dir[nSuper] = acc
 	v.ones = int(acc)
 }
+
+// onesBefore reports the ones before superblock sb.
+func (v *Vector) onesBefore(sb int) int { return int(v.dir[sb] & beforeMask) }
 
 // buildSelect records, for every selectSample-th one-bit (and zero-bit),
 // the superblock containing it; Select then binary-searches only between
@@ -116,10 +145,10 @@ func (v *Vector) buildRank() {
 func (v *Vector) buildSelect() {
 	v.sel1 = make([]uint32, 0, v.ones/selectSample+1)
 	v.sel0 = make([]uint32, 0, (v.n-v.ones)/selectSample+1)
-	nSuper := len(v.super) - 1
+	nSuper := len(v.dir) - 1
 	next1, next0 := 1, 1
 	for sb := 0; sb < nSuper; sb++ {
-		onesEnd := int(v.super[sb+1])
+		onesEnd := v.onesBefore(sb + 1)
 		bitsEnd := (sb + 1) * superBits
 		if bitsEnd > v.n {
 			bitsEnd = v.n
@@ -152,6 +181,8 @@ func (v *Vector) Get(i int) bool {
 
 // Rank1 reports the number of one-bits in the prefix [0, i).
 // i may equal Len().
+//
+//ringrpq:noalloc
 func (v *Vector) Rank1(i int) int {
 	if i <= 0 {
 		return 0
@@ -160,15 +191,17 @@ func (v *Vector) Rank1(i int) int {
 		return v.ones
 	}
 	wi := i / 64
-	r := int(v.super[wi/wordsPerSuper])
-	for j := wi - wi%wordsPerSuper; j < wi; j++ {
-		r += bits.OnesCount64(v.words[j])
-	}
-	r += bits.OnesCount64(v.words[wi] & (1<<uint(i%64) - 1))
-	return r
+	d := v.dir[wi/wordsPerSuper]
+	// The ones before wi's 128-bit sub-block, plus those of the word
+	// before wi when wi is the sub-block's odd word.
+	r := d&beforeMask + d>>(63-9*uint(wi%wordsPerSuper/2))&subMask
+	r += uint64(bits.OnesCount64(v.words[wi&^1] & -uint64(wi&1)))
+	return int(r) + bits.OnesCount64(v.words[wi]&(1<<uint(i%64)-1))
 }
 
 // Rank0 reports the number of zero-bits in the prefix [0, i).
+//
+//ringrpq:noalloc
 func (v *Vector) Rank0(i int) int {
 	if i <= 0 {
 		return 0
@@ -187,7 +220,7 @@ func (v *Vector) Select1(k int) int {
 	}
 	// Narrow to a superblock range using the sampled directory, then
 	// binary-search superblocks, then scan at most wordsPerSuper words.
-	lo, hi := 0, len(v.super)-1 // superblock index range [lo, hi)
+	lo, hi := 0, len(v.dir)-1 // superblock index range [lo, hi)
 	if s := (k - 1) / selectSample; s < len(v.sel1) {
 		lo = int(v.sel1[s])
 		if s+1 < len(v.sel1) {
@@ -196,13 +229,13 @@ func (v *Vector) Select1(k int) int {
 	}
 	for lo < hi-1 {
 		mid := (lo + hi) / 2
-		if int(v.super[mid]) < k {
+		if v.onesBefore(mid) < k {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	rem := k - int(v.super[lo])
+	rem := k - v.onesBefore(lo)
 	wStart := lo * wordsPerSuper
 	for j := wStart; j < len(v.words); j++ {
 		c := bits.OnesCount64(v.words[j])
@@ -219,14 +252,14 @@ func (v *Vector) Select0(k int) int {
 	if k <= 0 || k > v.n-v.ones {
 		return -1
 	}
-	lo, hi := 0, len(v.super)-1
+	lo, hi := 0, len(v.dir)-1
 	if s := (k - 1) / selectSample; s < len(v.sel0) {
 		lo = int(v.sel0[s])
 		if s+1 < len(v.sel0) {
 			hi = int(v.sel0[s+1]) + 1
 		}
 	}
-	zerosBefore := func(sb int) int { return sb*superBits - int(v.super[sb]) }
+	zerosBefore := func(sb int) int { return sb*superBits - v.onesBefore(sb) }
 	for lo < hi-1 {
 		mid := (lo + hi) / 2
 		if zerosBefore(mid) < k {
@@ -298,5 +331,5 @@ func selectInWord(w uint64, k int) int {
 // SizeBytes reports the memory footprint of the vector including
 // rank/select directories.
 func (v *Vector) SizeBytes() int {
-	return 8*len(v.words) + 8*len(v.super) + 4*len(v.sel1) + 4*len(v.sel0) + 32
+	return 8*len(v.words) + 8*len(v.dir) + 4*len(v.sel1) + 4*len(v.sel0) + 32
 }

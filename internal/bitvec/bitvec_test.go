@@ -1,10 +1,14 @@
 package bitvec
 
 import (
+	"bytes"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"ringrpq/internal/serial"
 )
 
 // naive is a reference implementation over a bool slice.
@@ -90,35 +94,60 @@ func TestGetMatchesInput(t *testing.T) {
 	}
 }
 
+// directoryLengths straddle every boundary the rank directory knows:
+// the 64-bit word, the 128-, 256- and 384-bit sub-block counts and the
+// 512-bit superblock.
+var directoryLengths = []int{63, 64, 65, 127, 128, 129, 255, 256, 257, 383, 384, 385, 511, 512, 513, 1023, 1024, 1025}
+
+type bitsInput struct {
+	n int
+	p float64
+}
+
+// directoryInputs returns n bits at each density of ps, then every
+// directoryLengths length at densities 0, ⅓ and 1.
+func directoryInputs(n int, ps ...float64) []bitsInput {
+	var inputs []bitsInput
+	for _, p := range ps {
+		inputs = append(inputs, bitsInput{n, p})
+	}
+	for _, n := range directoryLengths {
+		for _, p := range []float64{0, 1.0 / 3, 1} {
+			inputs = append(inputs, bitsInput{n, p})
+		}
+	}
+	return inputs
+}
+
 func TestRankAgainstNaive(t *testing.T) {
-	for _, p := range []float64{0.0, 0.01, 0.5, 0.99, 1.0} {
-		bs := randomBits(4097, p, int64(p*100)+7)
+	for _, in := range directoryInputs(4097, 0.0, 0.01, 0.5, 0.99, 1.0) {
+		bs := randomBits(in.n, in.p, int64(in.p*100)+7)
 		v := FromBools(bs)
 		nv := naive(bs)
 		for i := 0; i <= len(bs); i++ {
 			if got, want := v.Rank1(i), nv.rank1(i); got != want {
-				t.Fatalf("p=%v Rank1(%d)=%d, want %d", p, i, got, want)
+				t.Fatalf("n=%d p=%v Rank1(%d)=%d, want %d", in.n, in.p, i, got, want)
 			}
 			if got, want := v.Rank0(i), i-nv.rank1(i); got != want {
-				t.Fatalf("p=%v Rank0(%d)=%d, want %d", p, i, got, want)
+				t.Fatalf("n=%d p=%v Rank0(%d)=%d, want %d", in.n, in.p, i, got, want)
 			}
 		}
 	}
 }
 
 func TestSelectAgainstNaive(t *testing.T) {
-	for _, p := range []float64{0.01, 0.5, 0.99} {
-		bs := randomBits(5000, p, int64(p*1000)+13)
+	for _, in := range directoryInputs(5000, 0.01, 0.5, 0.99) {
+		bs := randomBits(in.n, in.p, int64(in.p*1000)+13)
 		v := FromBools(bs)
 		nv := naive(bs)
 		for k := 1; k <= v.Ones(); k++ {
 			if got, want := v.Select1(k), nv.select1(k); got != want {
-				t.Fatalf("p=%v Select1(%d)=%d, want %d", p, k, got, want)
+				t.Fatalf("n=%d p=%v Select1(%d)=%d, want %d", in.n, in.p, k, got, want)
 			}
 		}
 		for k := 1; k <= v.Zeros(); k++ {
 			if got, want := v.Select0(k), nv.select0(k); got != want {
-				t.Fatalf("p=%v Select0(%d)=%d, want %d", p, k, got, want)
+				t.Fatalf("n=%d p=%v Select0(%d)=%d, want %d", in.n, in.p, k, got, want)
 			}
 		}
 	}
@@ -225,24 +254,65 @@ func TestLargeDense(t *testing.T) {
 	}
 }
 
+// All-ones vectors fill the sub-block counts to their largest values
+// (384 in the last field).
 func TestAllOnesAllZeros(t *testing.T) {
-	n := 1025
-	ones := make([]bool, n)
-	for i := range ones {
-		ones[i] = true
-	}
-	v := FromBools(ones)
-	for k := 1; k <= n; k += 13 {
-		if v.Select1(k) != k-1 {
-			t.Fatalf("all-ones Select1(%d)=%d", k, v.Select1(k))
+	for _, n := range append(directoryLengths, 4097) {
+		ones := make([]bool, n)
+		for i := range ones {
+			ones[i] = true
+		}
+		v := FromBools(ones)
+		for i := 0; i <= n; i++ {
+			if v.Rank1(i) != i || v.Rank0(i) != 0 {
+				t.Fatalf("n=%d all-ones Rank1(%d)=%d Rank0=%d", n, i, v.Rank1(i), v.Rank0(i))
+			}
+		}
+		for k := 1; k <= n; k++ {
+			if v.Select1(k) != k-1 {
+				t.Fatalf("n=%d all-ones Select1(%d)=%d", n, k, v.Select1(k))
+			}
+		}
+		v = FromBools(make([]bool, n))
+		for i := 0; i <= n; i++ {
+			if v.Rank1(i) != 0 || v.Rank0(i) != i {
+				t.Fatalf("n=%d all-zeros Rank1(%d)=%d Rank0=%d", n, i, v.Rank1(i), v.Rank0(i))
+			}
+		}
+		for k := 1; k <= n; k++ {
+			if v.Select0(k) != k-1 {
+				t.Fatalf("n=%d all-zeros Select0(%d)=%d", n, k, v.Select0(k))
+			}
 		}
 	}
-	zeros := make([]bool, n)
-	v = FromBools(zeros)
-	for k := 1; k <= n; k += 13 {
-		if v.Select0(k) != k-1 {
-			t.Fatalf("all-zeros Select0(%d)=%d", k, v.Select0(k))
+}
+
+// The directory counts the ones before a superblock in 36 bits, so
+// building a vector of 2^36 bits or more must fail loudly.
+func TestBuildRankRejectsTooLong(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("buildRank of 2^36 bits should panic")
 		}
+	}()
+	v := &Vector{n: 1 << beforeBits}
+	v.buildRank()
+}
+
+// Decode must report a bit count over the directory's limit as an
+// error, not reach buildRank's panic.
+func TestDecodeRejectsTooLong(t *testing.T) {
+	var buf bytes.Buffer
+	w := serial.NewWriter(&buf)
+	w.Magic("bv01")
+	w.Int(1 << beforeBits)
+	w.Uint64s(nil)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := serial.NewReader(&buf)
+	if v := Decode(r); v != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "fewer than 2^36") {
+		t.Fatalf("Decode of 2^36 bits = %v, err %v; want nil and the limit error", v, r.Err())
 	}
 }
 
@@ -258,6 +328,29 @@ func BenchmarkRank1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v.Rank1(i % v.Len())
+	}
+}
+
+var sinkRank int
+
+// BenchmarkRank1Random ranks random positions of an 8 MiB vector, more
+// than the L2 cache holds, so each rank pays for its cache lines as the
+// ranks of a large wavelet matrix do.
+func BenchmarkRank1Random(b *testing.B) {
+	const n = 1 << 26
+	rng := rand.New(rand.NewSource(1))
+	words := make([]uint64, n/64)
+	for i := range words {
+		words[i] = rng.Uint64()
+	}
+	v := (&Builder{words: words, n: n}).Build()
+	pos := make([]int, 1<<16)
+	for i := range pos {
+		pos[i] = rng.Intn(n)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkRank = v.Rank1(pos[i%len(pos)])
 	}
 }
 

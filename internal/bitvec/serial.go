@@ -15,12 +15,16 @@ func (v *Vector) Encode(w *serial.Writer) {
 }
 
 // Decode reads a vector written by Encode. The claimed bit count must
-// be consistent with the stored words (with zeroed padding bits), so
-// the rank/select directories — whose sizes derive from it — stay
-// bounded by the input actually read.
+// be below the directory's 2^36-bit limit and consistent with the
+// stored words (with zeroed padding bits), so the rank/select
+// directories — whose sizes derive from it — stay bounded by the input
+// actually read.
 func Decode(r *serial.Reader) *Vector {
 	r.Magic("bv01")
 	n := r.Int()
+	if n >= 1<<beforeBits {
+		r.Fail(fmt.Errorf("bitvec: %d bits, the rank directory holds fewer than 2^%d", n, beforeBits))
+	}
 	words := r.Uint64s()
 	if r.Err() != nil {
 		return nil

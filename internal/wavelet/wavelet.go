@@ -133,6 +133,8 @@ func clampRangeMasks(items []RangeMask, n int) []RangeMask {
 // Items that merely touch (frontier ranges with different masks) share
 // a boundary, whose rank is computed once. It returns the right-child
 // prefix of items.
+//
+//ringrpq:noalloc
 func splitRangeMasks(bv *bitvec.Vector, z int, items []RangeMask, arena *[]RangeMask) []RangeMask {
 	base := len(*arena)
 	prevPos, prevRank := -1, 0
