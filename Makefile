@@ -3,11 +3,11 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: all ci build vet test race crash bench bench-short bench-json fuzz lint lint-metrics clean
+.PHONY: all ci build vet test race crash bench bench-short bench-build bench-json fuzz lint lint-metrics clean
 
 all: ci
 
-ci: build vet test crash bench-short lint lint-metrics
+ci: build vet test crash bench-short bench-build lint lint-metrics
 
 build:
 	$(GO) build ./...
@@ -63,16 +63,23 @@ bench-short:
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 
+# The benchmark (perfbench/, run by BENCHMARK.json) is its own Go module,
+# so `go build ./...` never compiles it; vet it here so that a change to
+# an API it uses fails ci instead of the next benchmark run. GOPROXY=off
+# keeps the module resolution offline.
+bench-build:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./...
+
 # Machine-readable perf trajectory: the graph-pattern workload —
 # BGP-only vs mixed BGP+RPQ — on the selectivity-planned executor
 # (BENCH_PR4.json), the live-update workload — read latency vs overlay
 # fill, interleaved read/write, and the compaction swap pause
 # (BENCH_PR5.json), the standing-subscription workload — incremental
 # delta maintenance vs full re-evaluation over the same update stream
-# (BENCH_PR6.json), and the compilation-tier workload — compiled
-# steppers vs the generic interpreted fallback, plus the service pool
-# with and without cross-query traversal grouping (BENCH_PR7.json).
-# BENCH_PR3.json, the retired batched-vs-unbatched ablation, stays as
+# (BENCH_PR6.json), and the service pool with and without cross-query
+# traversal grouping (BENCH_GROUPING.json). BENCH_PR3.json, the retired
+# batched-vs-unbatched ablation, and BENCH_PR7.json, the retired
+# compiled-vs-fallback ablation beside the grouping comparison, stay as
 # history.
 bench-json:
 	$(GO) run ./cmd/rpqbench -nodes 8000 -edges 40000 -preds 40 -queries 120 \
@@ -81,7 +88,7 @@ bench-json:
 		-timeout 5s -limit 100000 -updates BENCH_PR5.json
 	$(GO) run ./cmd/rpqbench -nodes 4000 -edges 20000 -preds 30 -queries 200 \
 		-timeout 5s -limit 100000 -subs BENCH_PR6.json
-	$(GO) run ./cmd/rpqbench -compiled BENCH_PR7.json
+	$(GO) run ./cmd/rpqbench -grouping BENCH_GROUPING.json
 
 # Repo-invariant static analysis (internal/lint + cmd/rpqlint):
 # ctxfirst, spanend, deadlineloop, locksend, walerr and noalloc over

@@ -7,16 +7,14 @@
 //	           reported as bytes/edge metrics)
 //	Fig. 8   → BenchmarkFig8 (sub-benchmarks per pattern and system)
 //	§5 index construction → BenchmarkRingConstruction
-//	Design-choice ablations (§4/§6) → BenchmarkAblation*
+//	Design-choice ablations (§4/§6) → BenchmarkAblation* (layout, table split)
 package ringrpq
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
 
-	"ringrpq/internal/core"
 	"ringrpq/internal/datagen"
 	"ringrpq/internal/glushkov"
 	"ringrpq/internal/harness"
@@ -147,11 +145,6 @@ func BenchmarkRingConstruction(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------
 
-func ringEngine() (*core.Engine, *triples.Graph) {
-	setup()
-	return bench.ring.Engine(), bench.g
-}
-
 // BenchmarkAblationLayout compares the wavelet matrix (paper choice)
 // with the pointer-shaped wavelet tree on the same workload.
 func BenchmarkAblationLayout(b *testing.B) {
@@ -166,69 +159,6 @@ func BenchmarkAblationLayout(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationFastPaths measures the §5 join-like fast paths
-// against the generic product-graph algorithm on the patterns they
-// serve.
-func BenchmarkAblationFastPaths(b *testing.B) {
-	eng, _ := ringEngine()
-	var joinish []workload.Query
-	for _, q := range bench.qs {
-		switch workload.Classify(q) {
-		case "v / v", "v | v", "v || v", "v ^ v", "v /^ v":
-			joinish = append(joinish, q)
-		}
-	}
-	if len(joinish) == 0 {
-		b.Skip("no join-like queries in the log sample")
-	}
-	run := func(b *testing.B, disable bool) {
-		for i := 0; i < b.N; i++ {
-			q := joinish[i%len(joinish)]
-			_, err := eng.Eval(
-				context.Background(),
-				core.Query{Subject: core.Variable, Expr: q.Expr, Object: core.Variable},
-				core.Options{Limit: bench.limit, Timeout: bench.timeout, DisableFastPaths: disable},
-				func(uint32, uint32) bool { return true })
-			if err != nil && err != core.ErrTimeout {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("FastPaths", func(b *testing.B) { run(b, false) })
-	b.Run("Generic", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkAblationNodeMarks measures the per-wavelet-node visited-mask
-// pruning of §4.2 against plain per-subject marks.
-func BenchmarkAblationNodeMarks(b *testing.B) {
-	eng, _ := ringEngine()
-	var recursive []workload.Query
-	for _, q := range bench.qs {
-		if !q.ConstToVar() {
-			recursive = append(recursive, q)
-		}
-	}
-	if len(recursive) == 0 {
-		b.Skip("no v-to-v queries in the log sample")
-	}
-	run := func(b *testing.B, disable bool) {
-		for i := 0; i < b.N; i++ {
-			q := recursive[i%len(recursive)]
-			_, err := eng.Eval(
-				context.Background(),
-				core.Query{Subject: core.Variable, Expr: q.Expr, Object: core.Variable},
-				core.Options{Limit: bench.limit, Timeout: bench.timeout,
-					DisableFastPaths: true, DisableNodeMarks: disable},
-				func(uint32, uint32) bool { return true })
-			if err != nil && err != core.ErrTimeout {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("NodeMarks", func(b *testing.B) { run(b, false) })
-	b.Run("SubjectMarksOnly", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkAblationTableSplit sweeps the d-bit vertical decomposition of

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -21,17 +20,6 @@ import (
 	"ringrpq/internal/triples"
 	"ringrpq/internal/workload"
 )
-
-// compiledWorkload pairs the compiled-stepper and interpreter modes
-// over one workload subset. Mismatches counts queries whose result
-// counts disagreed; nonzero invalidates the run (the tool exits 1).
-type compiledWorkload struct {
-	Compiled       modeStats `json:"compiled"`
-	Interpreted    modeStats `json:"interpreted"`
-	SpeedupTotal   float64   `json:"speedup_total"`
-	SpeedupGeomean float64   `json:"speedup_geomean"`
-	Mismatches     int       `json:"mismatches"`
-}
 
 // poolStats summarises one service-pool pass.
 type poolStats struct {
@@ -56,153 +44,22 @@ type groupingReport struct {
 	QPSRatio  float64   `json:"qps_ratio"`
 }
 
-// compiledReport is the BENCH_PR7.json schema: the compiled-stepper
-// ablation over the Table 1 workload (split like BENCH_PR3) plus the
-// cross-query grouping comparison on the concurrent pool.
-type compiledReport struct {
-	Bench     string                      `json:"bench"`
-	Config    benchConfig                 `json:"config"`
-	Workloads map[string]compiledWorkload `json:"workloads"`
-	Grouping  groupingReport              `json:"grouping"`
+// groupingBench is the -grouping JSON schema: the grouping comparison
+// plus the run configuration.
+type groupingBench struct {
+	Bench    string         `json:"bench"`
+	Config   benchConfig    `json:"config"`
+	Grouping groupingReport `json:"grouping"`
 }
 
-// runCompiledComparison replays the query log on one engine with the
-// compilation tier forced on (CompileEager) and forced off
-// (DisableCompiled), reporting per-subset latency and speedups, then
-// drives the log through the service pool with and without cross-query
-// traversal grouping. Each (query, mode) is measured as the best of
-// three runs after a shared warm-up (so neither mode pays one-time
-// automaton construction), and the modes must agree on every result
-// count. The JSON report is written to path.
-func runCompiledComparison(g *triples.Graph, qs []workload.Query, timeout time.Duration, limit int, workers int, path string, cfg benchConfig) {
-	ids := func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) }
-	fmt.Printf("compiled-stepper ablation: %d queries, CompileEager vs DisableCompiled (timeout %v, limit %d)\n",
-		len(qs), timeout, limit)
-	r := ring.New(g, ring.WaveletMatrix)
-	eng := core.NewEngine(r, ids)
-
-	type outcome struct {
-		d        time.Duration
-		n        int
-		timedOut bool
-		skip     bool
+// runGroupingBench runs runGroupingComparison over the query log and
+// writes the JSON report to path.
+func runGroupingBench(g *triples.Graph, qs []workload.Query, timeout time.Duration, limit int, workers int, path string, cfg benchConfig) {
+	report := groupingBench{
+		Bench:    "service pool with vs without cross-query traversal grouping",
+		Config:   cfg,
+		Grouping: runGroupingComparison(g, ring.New(g, ring.WaveletMatrix), qs, timeout, limit, workers),
 	}
-	run := func(q workload.Query, interp bool, reps int) outcome {
-		cq := core.Query{Subject: core.Variable, Object: core.Variable, Expr: q.Expr}
-		if q.Subject != "" {
-			id, ok := g.Nodes.Lookup(q.Subject)
-			if !ok {
-				return outcome{skip: true}
-			}
-			cq.Subject = int64(id)
-		}
-		if q.Object != "" {
-			id, ok := g.Nodes.Lookup(q.Object)
-			if !ok {
-				return outcome{skip: true}
-			}
-			cq.Object = int64(id)
-		}
-		opts := core.Options{Limit: limit, Timeout: timeout, CompileEager: !interp, DisableCompiled: interp}
-		best := outcome{d: time.Duration(1<<63 - 1)}
-		for rep := 0; rep < reps; rep++ {
-			n := 0
-			t0 := time.Now()
-			_, err := eng.Eval(context.Background(), cq, opts, func(uint32, uint32) bool { n++; return true })
-			d := time.Since(t0)
-			if errors.Is(err, core.ErrTimeout) {
-				return outcome{timedOut: true}
-			} else if err != nil {
-				fmt.Fprintf(os.Stderr, "compiled ablation: %s: %v\n", q, err)
-				return outcome{skip: true}
-			}
-			if d < best.d {
-				best = outcome{d: d, n: n}
-			}
-			// Long queries are noise-free; don't triple their cost.
-			if d > 250*time.Millisecond {
-				break
-			}
-		}
-		return best
-	}
-
-	type subset struct {
-		latC, latI           []time.Duration
-		timeoutsC, timeoutsI int
-		logSpeedups          float64
-		pairs, mismatches    int
-	}
-	subsets := map[string]*subset{"all": {}, "closure": {}, "other": {}}
-	for _, q := range qs {
-		// Warm the shared memo eagerly so the first measured run of
-		// either mode excludes automaton and table construction.
-		run(q, false, 1)
-		c := run(q, false, 3)
-		i := run(q, true, 3)
-		if c.skip || i.skip {
-			continue
-		}
-		names := []string{"all", "other"}
-		if strings.ContainsAny(q.Pattern, "*+") {
-			names[1] = "closure"
-		}
-		for _, name := range names {
-			s := subsets[name]
-			if c.timedOut {
-				s.timeoutsC++
-			} else {
-				s.latC = append(s.latC, c.d)
-			}
-			if i.timedOut {
-				s.timeoutsI++
-			} else {
-				s.latI = append(s.latI, i.d)
-			}
-			if c.timedOut || i.timedOut {
-				continue
-			}
-			if c.n != i.n {
-				s.mismatches++
-				fmt.Fprintf(os.Stderr, "compiled ablation: %s: compiled %d results, interpreted %d\n", q, c.n, i.n)
-				continue
-			}
-			if c.d > 0 && i.d > 0 {
-				s.logSpeedups += math.Log(float64(i.d) / float64(c.d))
-				s.pairs++
-			}
-		}
-	}
-
-	report := compiledReport{
-		Bench:     "compiled Glushkov steppers + cross-query traversal grouping (PR7)",
-		Config:    cfg,
-		Workloads: map[string]compiledWorkload{},
-	}
-	for _, name := range []string{"all", "closure", "other"} {
-		s := subsets[name]
-		wr := compiledWorkload{
-			Compiled:    summarize(s.latC, s.timeoutsC),
-			Interpreted: summarize(s.latI, s.timeoutsI),
-		}
-		if wr.Compiled.TotalMs > 0 {
-			wr.SpeedupTotal = wr.Interpreted.TotalMs / wr.Compiled.TotalMs
-		}
-		if s.pairs > 0 {
-			wr.SpeedupGeomean = math.Exp(s.logSpeedups / float64(s.pairs))
-		}
-		wr.Mismatches = s.mismatches
-		report.Workloads[name] = wr
-		fmt.Printf("  %-8s %4d queries  compiled p50 %8.0fµs p95 %8.0fµs  interpreted p50 %8.0fµs p95 %8.0fµs  speedup total %.2fx geomean %.2fx\n",
-			name, wr.Compiled.Queries, wr.Compiled.P50us, wr.Compiled.P95us,
-			wr.Interpreted.P50us, wr.Interpreted.P95us, wr.SpeedupTotal, wr.SpeedupGeomean)
-		if s.mismatches > 0 {
-			fmt.Printf("  %-8s RESULT MISMATCHES: %d\n", name, s.mismatches)
-		}
-	}
-
-	report.Grouping = runGroupingComparison(g, r, qs, timeout, limit, workers)
-
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "encoding %s: %v\n", path, err)
@@ -214,10 +71,6 @@ func runCompiledComparison(g *triples.Graph, qs []workload.Query, timeout time.D
 		os.Exit(1)
 	}
 	fmt.Printf("  wrote %s\n", path)
-	if n := subsets["all"].mismatches; n > 0 {
-		fmt.Fprintf(os.Stderr, "compiled ablation: %d result mismatches — report is invalid\n", n)
-		os.Exit(1)
-	}
 }
 
 // EvalGroup implements service.GroupBackend over the pool backend's

@@ -66,10 +66,10 @@ func main() {
 		patOut  = flag.String("patterns", "", "run the graph-pattern workload (BGP-only vs mixed BGP+RPQ) and write machine-readable results to this file (e.g. BENCH_PR4.json)")
 		updOut  = flag.String("updates", "", "run the live-update workload (read latency vs overlay fill, swap pause) and write machine-readable results to this file (e.g. BENCH_PR5.json)")
 		subsOut = flag.String("subs", "", "run the standing-subscription workload (incremental delta maintenance vs full re-evaluation) and write machine-readable results to this file (e.g. BENCH_PR6.json)")
-		cmpOut  = flag.String("compiled", "", "run the compiled-vs-interpreted stepper ablation plus the cross-query grouping comparison and write machine-readable results to this file (e.g. BENCH_PR7.json)")
+		grpOut  = flag.String("grouping", "", "run the service pool with and without cross-query traversal grouping and write machine-readable results to this file")
 	)
 	flag.Parse()
-	all := !*table1 && !*table2 && !*fig8 && !*build && *patOut == "" && *updOut == "" && *subsOut == "" && *cmpOut == ""
+	all := !*table1 && !*table2 && !*fig8 && !*build && *patOut == "" && *updOut == "" && *subsOut == "" && *grpOut == ""
 
 	fmt.Printf("generating graph: %d nodes, %d edge draws, %d predicates (seed %d)\n",
 		*nodes, *edges, *preds, *seed)
@@ -182,12 +182,12 @@ func main() {
 		runSubsBench(g, qs, *timeout, *subsOut, cfg)
 	}
 
-	if *cmpOut != "" {
+	if *grpOut != "" {
 		w := *workers
 		if w <= 0 {
 			w = 4
 		}
-		runCompiledComparison(g, qs, *timeout, *limit, w, *cmpOut, cfg)
+		runGroupingBench(g, qs, *timeout, *limit, w, *grpOut, cfg)
 	}
 }
 

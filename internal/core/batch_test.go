@@ -33,7 +33,7 @@ func TestBatchingMatchesOracle(t *testing.T) {
 				expr := enginetest.RandomExpr(rng, np, 1+rng.Intn(3))
 				for _, q := range queriesFor(rng, g, expr) {
 					want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
-					diffPairs(t, "batched vs oracle", evalPairs(t, e, q, Options{DisableFastPaths: true}), want, q)
+					diffPairs(t, "batched vs oracle", evalPairs(t, e, q, Options{}), want, q)
 				}
 			}
 		}
@@ -57,33 +57,18 @@ func TestBatchingNegSets(t *testing.T) {
 	}
 }
 
-// Batched traversal composes with the other ablation switches.
-func TestBatchingWithNodeMarksDisabled(t *testing.T) {
-	g := enginetest.RandomGraph(8, 16, 3, 70)
-	e := newEngine(g, ring.WaveletMatrix)
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 5; trial++ {
-		expr := enginetest.RandomExpr(rng, 3, 2)
-		for _, q := range queriesFor(rng, g, expr) {
-			want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
-			got := evalPairs(t, e, q, Options{DisableFastPaths: true, DisableNodeMarks: true})
-			diffPairs(t, "batched-nomarks", got, want, q)
-		}
-	}
-}
-
 // Limits must truncate the level-synchronous traversal exactly (which
 // pairs make the prefix depends on traversal order, its size does not).
 func TestBatchingLimit(t *testing.T) {
 	g := enginetest.RandomGraph(11, 20, 3, 120)
 	e := newEngine(g, ring.WaveletMatrix)
 	q := Query{Subject: Variable, Expr: pathexpr.MustParse("(pa|pb)+"), Object: Variable}
-	full := evalPairs(t, e, q, Options{DisableFastPaths: true})
+	full := evalPairs(t, e, q, Options{})
 	if len(full) < 5 {
 		t.Skipf("graph too sparse (%d results)", len(full))
 	}
 	n := 0
-	st, err := e.Eval(context.Background(), q, Options{DisableFastPaths: true, Limit: 4}, func(s, o uint32) bool {
+	st, err := e.Eval(context.Background(), q, Options{Limit: 4}, func(s, o uint32) bool {
 		n++
 		return true
 	})
@@ -109,19 +94,14 @@ func TestWaveletVisitsWithinTheoremBound(t *testing.T) {
 	h := max(bits.Len32(e.r.NumPreds-1), bits.Len(uint(e.r.NumNodes-1)))
 	for _, src := range []string{"(pa|pb)+", "pa*", "(pa/pb)+", "(pa|^pc)+/pd"} {
 		for _, ends := range [][2]int64{{Variable, Variable}, {3, Variable}, {Variable, 5}} {
-			for _, opts := range []Options{
-				{DisableFastPaths: true},
-				{DisableFastPaths: true, DisableNodeMarks: true},
-			} {
-				q := Query{Subject: ends[0], Expr: pathexpr.MustParse(src), Object: ends[1]}
-				st, err := e.Eval(context.Background(), q, opts, func(s, o uint32) bool { return true })
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bound := 2 * (h + 1) * (st.ProductEdges + st.ProductNodes + 1); st.WaveletVisits > bound {
-					t.Fatalf("(%d, %s, %d) %+v: WaveletVisits=%d exceeds 2(h+1)(edges+nodes+1)=%d (h=%d, %+v)",
-						q.Subject, src, q.Object, opts, st.WaveletVisits, bound, h, st)
-				}
+			q := Query{Subject: ends[0], Expr: pathexpr.MustParse(src), Object: ends[1]}
+			st, err := e.Eval(context.Background(), q, Options{}, func(s, o uint32) bool { return true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bound := 2 * (h + 1) * (st.ProductEdges + st.ProductNodes + 1); st.WaveletVisits > bound {
+				t.Fatalf("(%d, %s, %d): WaveletVisits=%d exceeds 2(h+1)(edges+nodes+1)=%d (h=%d, %+v)",
+					q.Subject, src, q.Object, st.WaveletVisits, bound, h, st)
 			}
 		}
 	}
@@ -183,7 +163,7 @@ func BenchmarkBatchedBFS(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
-			e.Eval(context.Background(), q, Options{DisableFastPaths: true}, func(s, o uint32) bool { return true })
+			e.Eval(context.Background(), q, Options{}, func(s, o uint32) bool { return true })
 		}
 	}
 }
@@ -204,14 +184,14 @@ func BenchmarkCompiledStepperSteadyState(b *testing.B) {
 		pathexpr.MustParse("pa|pb|pc"),
 	}
 	for _, x := range exprs { // cold builds outside the timed loop
-		if ca := e.memo.Get(x, true, false); ca.St == nil || ca.BArrs[0] == nil {
+		if ca := e.memo.Get(x, true); ca.St == nil || ca.BArrs[0] == nil {
 			b.Fatal("warm-up did not compile a stepper")
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ca := e.memo.Get(exprs[i%len(exprs)], true, false)
+		ca := e.memo.Get(exprs[i%len(exprs)], true)
 		if ca.St == nil || ca.BArrs[0] == nil {
 			b.Fatal("memo lost the compiled stepper")
 		}

@@ -65,8 +65,8 @@ func NewMemo(ids glushkov.SymbolIDs, numPreds uint32, rings []*ring.Ring) *Memo 
 }
 
 // Get returns the memoised compilation of expr and counts one use.
-// eager compiles the stepper tier on first use; noCompile never does.
-func (m *Memo) Get(expr pathexpr.Node, eager, noCompile bool) *Compiled {
+// eager compiles the stepper tier on first use.
+func (m *Memo) Get(expr pathexpr.Node, eager bool) *Compiled {
 	kb := m.keyW.Key(expr)
 	c, ok := m.m[string(kb)] // no-copy lookup
 	if !ok {
@@ -82,7 +82,7 @@ func (m *Memo) Get(expr pathexpr.Node, eager, noCompile bool) *Compiled {
 		m.m[string(kb)] = c
 	}
 	c.uses++
-	if c.Eng != nil && c.St == nil && !noCompile && (eager || c.uses > compileThreshold) {
+	if c.Eng != nil && c.St == nil && (eager || c.uses > compileThreshold) {
 		c.St = glushkov.Compile(c.Eng, m.numPreds)
 		c.BArrs = make([][]uint64, len(m.rings))
 		for i, r := range m.rings {

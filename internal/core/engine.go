@@ -49,24 +49,6 @@ type Options struct {
 	Limit int
 	// Timeout bounds wall-clock evaluation time; 0 means none.
 	Timeout time.Duration
-	// DisableFastPaths forces the generic product-graph algorithm even
-	// for the join-like patterns of §5 (used by the ablation benchmark).
-	DisableFastPaths bool
-	// DisableNodeMarks turns off the per-wavelet-node visited masks D[v]
-	// (§4.2), keeping only per-subject marks (ablation).
-	DisableNodeMarks bool
-	// CompileEager compiles the expression into a specialized stepper on
-	// first use instead of waiting for it to get hot (the tests and
-	// rpqbench -compiled use this).
-	CompileEager bool
-	// DisableCompiled forces the generic interpreted simulation — the
-	// multiword fallback kept for wide (>64-state) expressions — even
-	// for expressions the compilation tier could specialize. It is the
-	// ablation baseline ("interpreted" in BENCH_PR7.json) and the
-	// differential oracle: the fallback interprets the automaton with
-	// per-step multiword masks and a visited hash map, with none of the
-	// flat B[v]/D[v] wavelet-node pruning arrays or compiled steppers.
-	DisableCompiled bool
 	// Trace, when non-nil, records a traverse span with the evaluation's
 	// Stats plus one span per BFS level (frontier size, wavelet-node
 	// visits). Nil — the default — records nothing and costs one pointer
@@ -77,9 +59,10 @@ type Options struct {
 // ErrTimeout reports that evaluation exceeded Options.Timeout.
 var ErrTimeout = errors.New("core: query timeout")
 
-// errLimit stops the traversal when the result limit is hit; it is
-// internal and mapped to a nil error (truncated results are still valid).
-var errLimit = errors.New("core: result limit")
+// ErrLimit stops a traversal when the result limit is hit or the emit
+// callback declines more results; EvalState.End maps it to a nil error
+// (truncated results are still valid).
+var ErrLimit = errors.New("core: result limit")
 
 // Stats counts the work of one evaluation; the Theorem 4.1 test checks
 // these against the size of the induced product subgraph.
@@ -125,76 +108,90 @@ func FoldContext(ctx context.Context, opts Options) Options {
 	return opts
 }
 
-// traversal is an engine's narrow (≤64-state) §4 traversal, which the
-// shared query drivers of evalState orchestrate.
-type traversal interface {
-	// prepare compiles expr and installs it on every ring; nil selects
-	// the multiword fallback (too wide, or forced by DisableCompiled).
-	prepare(expr pathexpr.Node) *glushkov.Engine
-	// release resets the working arrays in O(1).
-	release()
-	// seed starts a traversal at o, visited with the states d (§4.2).
-	seed(o uint32, d uint64)
-	// run drains the frontier level by level, reporting the nodes that
+// Traversal is one engine's side of the shared §4.4 drivers of
+// EvalState: its narrow (≤64-state) §4 traversal, plus what the
+// orientation rule and the multiword fallback read off its graph.
+// Engine, ShardedEngine and the overlay union engine implement it.
+type Traversal interface {
+	// Prepare compiles expr and installs it on every ring; nil selects
+	// the multiword fallback (more than 63 positions).
+	Prepare(expr pathexpr.Node) *glushkov.Engine
+	// Release resets the working arrays in O(1).
+	Release()
+	// Seed starts a traversal at o, visited with the states d (§4.2).
+	Seed(o uint32, d uint64)
+	// Run drains the frontier level by level, reporting the nodes that
 	// reach the initial state; states in base count as visited
 	// everywhere.
-	run(base uint64, report EmitFunc) error
-	// full expands the whole L_p range of every ring with states d (the
+	Run(base uint64, report EmitFunc) error
+	// Full expands the whole L_p range of every ring with states d (the
 	// level 0 of a v→v query's first phase, §4.4), then runs.
-	full(d, base uint64, report EmitFunc) error
+	Full(d, base uint64, report EmitFunc) error
+	// Card counts the triples of completed predicate p.
+	Card(p uint32) int
+	// InEdges streams the in-edges of object o — of every object when o
+	// is Variable — to the multiword fallback: step(p) is called before
+	// the edges of predicate p and returns their per-subject callback,
+	// or nil to skip them; the callback returns false to stop.
+	InEdges(o int64, step func(p uint32) func(s uint32) bool)
 }
 
-// evalState is the per-evaluation state of Engine and ShardedEngine,
-// and the §4.4 drivers they share: each endpoint shape is orchestrated
-// once, over the engine's traversal t, with the multiword fallback of
-// wide.go over the memo's rings.
-type evalState struct {
-	clock     Clock
-	stats     Stats
-	trace     *obs.Trace
-	emit      EmitFunc
-	noMarks   bool
-	eager     bool
-	noCompile bool
+// EvalState is the per-evaluation state of one engine and the §4.4
+// drivers all three engines share: each endpoint shape is orchestrated
+// once, over the engine's Traversal, with the multiword fallback of
+// wide.go over its InEdges.
+type EvalState struct {
+	Clock Clock
+	Stats Stats
+	Trace *obs.Trace
+	// NumNodes is the node-id space: constants beyond it match nothing,
+	// and nullable v→v queries pair each node below it with itself.
+	NumNodes int
 
-	t        traversal
-	memo     *Memo
-	numNodes int
+	emit EmitFunc
+	t    Traversal
+	memo *Memo
 }
 
-// begin resets the state for one evaluation, wraps emit to count
+// Init binds the drivers to the engine's traversal and compile memo.
+func (s *EvalState) Init(t Traversal, memo *Memo, numNodes int) {
+	s.t, s.memo, s.NumNodes = t, memo, numNodes
+}
+
+// Begin resets the state for one evaluation, wraps emit to count
 // results and honour opts.Limit, and opens the traverse span.
-func (s *evalState) begin(opts Options, emit EmitFunc) int {
-	s.stats = Stats{}
-	s.clock.Start(opts.Timeout)
-	s.trace = opts.Trace
-	s.noMarks = opts.DisableNodeMarks
-	s.eager = opts.CompileEager
-	s.noCompile = opts.DisableCompiled
+func (s *EvalState) Begin(opts Options, emit EmitFunc) int {
+	s.Stats = Stats{}
+	s.Clock.Start(opts.Timeout)
+	s.Trace = opts.Trace
 	limit := opts.Limit
 	s.emit = func(a, b uint32) bool {
-		s.stats.Results++
+		s.Stats.Results++
 		if !emit(a, b) {
 			return false
 		}
-		return limit == 0 || s.stats.Results < limit
+		return limit == 0 || s.Stats.Results < limit
 	}
-	return s.trace.Begin(obs.SpanTraverse)
+	return s.Trace.Begin(obs.SpanTraverse)
 }
 
-// end closes the traverse span with the evaluation's Stats; a result
+// End closes the traverse span with the evaluation's Stats; a result
 // limit truncates without error.
-func (s *evalState) end(sp int, err error) (Stats, error) {
-	s.trace.EndVals(sp, int64(s.stats.ProductNodes), int64(s.stats.ProductEdges),
-		int64(s.stats.WaveletVisits), int64(s.stats.Results))
-	if errors.Is(err, errLimit) {
+func (s *EvalState) End(sp int, err error) (Stats, error) {
+	s.Trace.EndVals(sp, int64(s.Stats.ProductNodes), int64(s.Stats.ProductEdges),
+		int64(s.Stats.WaveletVisits), int64(s.Stats.Results))
+	if errors.Is(err, ErrLimit) {
 		err = nil
 	}
-	return s.stats, err
+	return s.Stats, err
 }
 
-// dispatch routes q to the driver of its endpoint shape.
-func (s *evalState) dispatch(q Query) error {
+// Emit reports one result pair through Begin's limit wrapper; false
+// means stop.
+func (s *EvalState) Emit(a, b uint32) bool { return s.emit(a, b) }
+
+// Dispatch routes q to the driver of its endpoint shape.
+func (s *EvalState) Dispatch(q Query) error {
 	switch {
 	case q.Object != Variable && q.Subject == Variable:
 		// (x, E, o): traverse E backwards from o.
@@ -211,13 +208,13 @@ func (s *evalState) dispatch(q Query) error {
 
 // evalToConst evaluates (x, E, o) for a fixed object o, emitting (s, o)
 // pairs — or (o, s) when swap is set (the (s, E, y) rewriting).
-func (s *evalState) evalToConst(expr pathexpr.Node, o uint32, swap bool) error {
-	eng := s.t.prepare(expr)
+func (s *EvalState) evalToConst(expr pathexpr.Node, o uint32, swap bool) error {
+	eng := s.t.Prepare(expr)
 	if eng == nil {
 		return s.wideEvalToConst(expr, o, swap)
 	}
-	defer s.t.release()
-	if int(o) >= s.numNodes {
+	defer s.t.Release()
+	if int(o) >= s.NumNodes {
 		return nil
 	}
 	// The traversal reports the nodes r reached with the initial state
@@ -230,30 +227,30 @@ func (s *evalState) evalToConst(expr pathexpr.Node, o uint32, swap bool) error {
 		return s.emit(r, o)
 	}
 	if eng.A.Nullable && !emit(o, o) {
-		return errLimit
+		return ErrLimit
 	}
 	// Mark the start: o has been visited with all final states (§4.2).
-	s.t.seed(o, eng.F)
-	return s.t.run(0, emit)
+	s.t.Seed(o, eng.F)
+	return s.t.Run(0, emit)
 }
 
 // evalBothConst evaluates (s, E, o) with both endpoints fixed, stopping
 // at the first match (§4.4; this case is excluded from Theorem 4.1).
-func (s *evalState) evalBothConst(expr pathexpr.Node, src, o uint32) error {
-	eng := s.t.prepare(expr)
+func (s *EvalState) evalBothConst(expr pathexpr.Node, src, o uint32) error {
+	eng := s.t.Prepare(expr)
 	if eng == nil {
 		return s.wideEvalBothConst(expr, src, o)
 	}
-	defer s.t.release()
-	if int(o) >= s.numNodes || int(src) >= s.numNodes {
+	defer s.t.Release()
+	if int(o) >= s.NumNodes || int(src) >= s.NumNodes {
 		return nil
 	}
 	if eng.A.Nullable && src == o {
 		s.emit(src, o)
 		return nil
 	}
-	s.t.seed(o, eng.F)
-	return s.t.run(0, func(got, _ uint32) bool {
+	s.t.Seed(o, eng.F)
+	return s.t.Run(0, func(got, _ uint32) bool {
 		if got == src {
 			s.emit(src, o)
 			return false // stop the traversal
@@ -267,32 +264,26 @@ func (s *evalState) evalBothConst(expr pathexpr.Node, src, o uint32) error {
 // per-source traversal enumerates its reachable objects. The orientation
 // is chosen by predicate selectivity (§5: "we choose to start from the
 // end whose predicate has the smallest cardinality"), applied to the
-// per-candidate traversals (see StartFromObjects).
-func (s *evalState) evalBothVar(expr pathexpr.Node) error {
+// per-candidate traversals (see startFromObjects).
+func (s *EvalState) evalBothVar(expr pathexpr.Node) error {
 	// Nullable expressions relate every node to itself via the empty
 	// path; emit those pairs upfront, then suppress (v,v) rediscovery.
 	// The loop is O(|V|) before any traversal work, so it honours the
 	// deadline too — a short Options.Timeout must be able to interrupt
 	// it on large graphs.
-	a := s.memo.Get(expr, s.eager, s.noCompile).A
+	a := s.memo.Get(expr, false).A
 	if a.Nullable {
-		for v := 0; v < s.numNodes; v++ {
-			if err := s.clock.Check(); err != nil {
+		for v := 0; v < s.NumNodes; v++ {
+			if err := s.Clock.Check(); err != nil {
 				return err
 			}
 			if !s.emit(uint32(v), uint32(v)) {
-				return errLimit
+				return ErrLimit
 			}
 		}
 	}
 
-	fromObjects := StartFromObjects(a, func(c uint32) int {
-		total := 0
-		for _, r := range s.memo.rings {
-			total += r.Cp[c+1] - r.Cp[c]
-		}
-		return total
-	})
+	fromObjects := startFromObjects(a, s.t.Card)
 	phase1Expr, expr2 := expr, pathexpr.InverseOf(expr)
 	if fromObjects {
 		phase1Expr, expr2 = expr2, expr
@@ -311,8 +302,8 @@ func (s *evalState) evalBothVar(expr pathexpr.Node) error {
 	// Phase 2: one constrained traversal per candidate. The automaton
 	// and the B[v] masks depend only on the expression, so they are
 	// built once and shared; only the visited marks reset per start.
-	phase2 := func(v uint32) EmitFunc { return Phase2Emit(s.emit, v, fromObjects, a.Nullable) }
-	eng2 := s.t.prepare(expr2)
+	phase2 := func(v uint32) EmitFunc { return phase2Emit(s.emit, v, fromObjects, a.Nullable) }
+	eng2 := s.t.Prepare(expr2)
 	if eng2 == nil {
 		for _, v := range starts {
 			if err := s.wideRunToConst(expr2, v, phase2(v)); err != nil {
@@ -321,10 +312,10 @@ func (s *evalState) evalBothVar(expr pathexpr.Node) error {
 		}
 		return nil
 	}
-	defer s.t.release()
+	defer s.t.Release()
 	for _, v := range starts {
-		s.t.seed(v, eng2.F)
-		if err := s.t.run(0, phase2(v)); err != nil {
+		s.t.Seed(v, eng2.F)
+		if err := s.t.Run(0, phase2(v)); err != nil {
 			return err
 		}
 	}
@@ -334,23 +325,23 @@ func (s *evalState) evalBothVar(expr pathexpr.Node) error {
 // fullRangeSources finds all nodes that can start a path matching expr
 // towards some node, starting the backward traversal from the full L_p
 // range (the ring's range capability, §4.4).
-func (s *evalState) fullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
-	eng := s.t.prepare(expr)
+func (s *EvalState) fullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
+	eng := s.t.Prepare(expr)
 	if eng == nil {
 		return s.wideFullRangeSources(expr, emit)
 	}
-	defer s.t.release()
+	defer s.t.Release()
 	// Every object conceptually starts with the final states active, so
 	// states in F (minus the initial state, which carries no outgoing
 	// work but must stay reportable) count as already visited everywhere.
-	return s.t.full(eng.F, eng.F&^eng.Init, emit)
+	return s.t.Full(eng.F, eng.F&^eng.Init, emit)
 }
 
-// Phase2Emit is the report of a v→v query's phase-2 traversal from the
+// phase2Emit is the report of a v→v query's phase-2 traversal from the
 // phase-1 candidate v: a traversal of E from an object candidate
 // reports sources, one of Ê from a source candidate reports objects.
 // Nullable expressions skip (v, v), already emitted upfront.
-func Phase2Emit(emit EmitFunc, v uint32, fromObjects, nullable bool) EmitFunc {
+func phase2Emit(emit EmitFunc, v uint32, fromObjects, nullable bool) EmitFunc {
 	return func(r, _ uint32) bool {
 		if nullable && r == v {
 			return true
@@ -362,14 +353,23 @@ func Phase2Emit(emit EmitFunc, v uint32, fromObjects, nullable bool) EmitFunc {
 	}
 }
 
-// StartFromObjects decides the orientation of a v→v query: true means
+// ringsCard is Card over the memo's rings.
+func (s *EvalState) ringsCard(p uint32) int {
+	total := 0
+	for _, r := range s.memo.rings {
+		total += r.Cp[p+1] - r.Cp[p]
+	}
+	return total
+}
+
+// startFromObjects decides the orientation of a v→v query: true means
 // phase 1 collects objects (traverses Ê) and phase 2 runs E from each
 // of them, false the reverse; card counts the triples of a completed
 // predicate. Phase 2 runs once per candidate and each run starts by
 // scanning its end's boundary predicates, so it starts at the end
 // whose predicates select fewer triples (§5); phase 1 scans the other
 // end once, in its full-range batched descent. Ties collect sources.
-func StartFromObjects(a *glushkov.Automaton, card func(c uint32) int) bool {
+func startFromObjects(a *glushkov.Automaton, card func(c uint32) int) bool {
 	count := func(positions []int32) int {
 		total := 0
 		for _, j := range positions {
@@ -398,7 +398,7 @@ type Engine struct {
 	// owned by the engine so fast-path queries allocate nothing.
 	pairs pairSet
 
-	evalState
+	EvalState
 	// init is the initial-state mask of the installed automaton and
 	// report the running traversal's report of nodes reaching it.
 	init   uint64
@@ -413,12 +413,10 @@ type Engine struct {
 // (e.g. triples.Graph.PredID).
 func NewEngine(r *ring.Ring, ids glushkov.SymbolIDs) *Engine {
 	e := &Engine{r: r, ids: ids, own: NewLevelOwner(r)}
-	e.own.Stats = &e.stats
-	e.own.Clock = &e.clock
+	e.own.Stats = &e.Stats
+	e.own.Clock = &e.Clock
 	e.own.Leaf = e.arrive
-	e.t = e
-	e.memo = NewMemo(ids, r.NumPreds, []*ring.Ring{r})
-	e.numNodes = r.NumNodes
+	e.Init(e, NewMemo(ids, r.NumPreds, []*ring.Ring{r}), r.NumNodes)
 	return e
 }
 
@@ -433,68 +431,64 @@ func (e *Engine) WorkingSizeBytes() int { return e.own.SizeBytes() }
 // and tighten the deadline, but is not polled during the traversal.
 func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error) {
 	opts = FoldContext(ctx, opts)
-	sp := e.begin(opts, emit)
+	sp := e.Begin(opts, emit)
 	// The §5 fast paths take the join-like v→v shapes; everything else
 	// runs the generic §4 algorithm.
-	if !opts.DisableFastPaths && q.Subject == Variable && q.Object == Variable {
+	if q.Subject == Variable && q.Object == Variable {
 		if done, err := e.tryFastPath(q.Expr); done {
-			return e.end(sp, err)
+			return e.End(sp, err)
 		}
 	}
-	return e.end(sp, e.dispatch(q))
+	return e.End(sp, e.Dispatch(q))
 }
 
-func (e *Engine) prepare(expr pathexpr.Node) *glushkov.Engine {
-	if e.noCompile {
-		return nil
-	}
-	c := e.memo.Get(expr, e.eager, false)
+func (e *Engine) Prepare(expr pathexpr.Node) *glushkov.Engine {
+	c := e.memo.Get(expr, false)
 	if c.Eng == nil {
 		return nil
 	}
-	e.own.noMarks = e.noMarks
 	e.own.Install(c, 0)
 	e.init = c.Eng.Init
 	return c.Eng
 }
 
-func (e *Engine) release() {
+func (e *Engine) Release() {
 	e.own.Release()
 	e.queue = e.queue[:0]
 }
 
-func (e *Engine) seed(o uint32, d uint64) {
+func (e *Engine) Seed(o uint32, d uint64) {
 	e.own.ResetMarks()
 	e.own.Mark(o, d)
 	e.queue = append(e.queue[:0], Item{o, d})
 }
 
-func (e *Engine) full(d, base uint64, report EmitFunc) error {
+func (e *Engine) Full(d, base uint64, report EmitFunc) error {
 	e.queue = e.queue[:0]
 	e.report = report
 	if err := e.own.StepFull(d, base); err != nil {
 		return err
 	}
-	return e.run(base, report)
+	return e.Run(base, report)
 }
 
-// run drains the worklist level-synchronously (§4 parts 1–3 per level).
-func (e *Engine) run(base uint64, report EmitFunc) error {
+// Run drains the worklist level-synchronously (§4 parts 1–3 per level).
+func (e *Engine) Run(base uint64, report EmitFunc) error {
 	e.report = report
 	for len(e.queue) > 0 {
-		if err := e.clock.Check(); err != nil {
+		if err := e.Clock.Check(); err != nil {
 			return err
 		}
 		// The items copy the level out, so the queue can take the next one.
 		items := e.own.Items(NextLevel(e.queue))
 		e.queue = e.queue[:0]
 		sp, visits0 := -1, 0
-		if e.trace != nil {
-			visits0 = e.stats.WaveletVisits
-			sp = e.trace.Begin(obs.SpanLevel)
+		if e.Trace != nil {
+			visits0 = e.Stats.WaveletVisits
+			sp = e.Trace.Begin(obs.SpanLevel)
 		}
 		err := e.own.StepLevel(items, base)
-		e.trace.EndVals(sp, int64(len(items)), int64(e.stats.WaveletVisits-visits0))
+		e.Trace.EndVals(sp, int64(len(items)), int64(e.Stats.WaveletVisits-visits0))
 		if err != nil {
 			return err
 		}
@@ -502,14 +496,20 @@ func (e *Engine) run(base uint64, report EmitFunc) error {
 	return nil
 }
 
+func (e *Engine) Card(p uint32) int { return e.ringsCard(p) }
+
+func (e *Engine) InEdges(o int64, step func(p uint32) func(s uint32) bool) {
+	e.ringsInEdges(o, step)
+}
+
 // arrive is the Leaf hook: a subject reached with fresh states is a new
 // product-graph node; it is reported when it reaches the initial state
 // and enqueued with the remaining states when it has in-edges.
 func (e *Engine) arrive(s uint32, _, fresh uint64) error {
-	e.stats.ProductNodes++
+	e.Stats.ProductNodes++
 	if fresh&e.init != 0 {
 		if !e.report(s, 0) {
-			return errLimit
+			return ErrLimit
 		}
 		fresh &^= e.init // the initial state has no incoming work
 	}

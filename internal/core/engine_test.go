@@ -43,41 +43,10 @@ func mustID(t *testing.T, g *triples.Graph, name string) int64 {
 	return int64(id)
 }
 
-func checkAgainstOracle(t *testing.T, g *triples.Graph, e *Engine, s int64, expr string, o int64, opts Options) {
+func checkAgainstOracle(t *testing.T, g *triples.Graph, e *Engine, s int64, expr string, o int64) {
 	t.Helper()
-	node := pathexpr.MustParse(expr)
-	want := enginetest.SortPairs(enginetest.Oracle(g, s, node, o))
-	// Every case runs three ways — the hotness default, the compiled
-	// stepper forced on, and the interpreter forced on — so the
-	// compilation tier is differentially checked against the oracle on
-	// the whole random-query corpus.
-	variants := [...]struct {
-		name string
-		opts Options
-	}{
-		{"default", opts},
-		{"compiled", withCompiled(opts)},
-		{"interpreted", withInterpreted(opts)},
-	}
-	for _, v := range variants {
-		got := enginetest.SortPairs(collect(t, e, Query{Subject: s, Expr: node, Object: o}, v.opts))
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("(%d, %s, %d) %s: got %v, want %v", s, expr, o, v.name, got, want)
-		}
-	}
-}
-
-func withCompiled(opts Options) Options {
-	opts.CompileEager, opts.DisableCompiled = true, false
-	return opts
-}
-
-func withInterpreted(opts Options) Options {
-	opts.CompileEager, opts.DisableCompiled = false, true
-	return opts
+	q := Query{Subject: s, Expr: pathexpr.MustParse(expr), Object: o}
+	checkVariants(t, "engine", e, q, enginetest.SortPairs(enginetest.Oracle(g, s, q.Expr, o)))
 }
 
 // The paper's running example (§4, Figs. 5–6): the backward traversal of
@@ -132,7 +101,7 @@ func TestPaperForwardExample(t *testing.T) {
 	g := enginetest.Metro()
 	e := newEngine(g, ring.WaveletMatrix)
 	baq := mustID(t, g, "Baq")
-	checkAgainstOracle(t, g, e, baq, "l5+/bus", Variable, Options{})
+	checkAgainstOracle(t, g, e, baq, "l5+/bus", Variable)
 }
 
 func TestMetroAllModesAgainstOracle(t *testing.T) {
@@ -149,7 +118,7 @@ func TestMetroAllModesAgainstOracle(t *testing.T) {
 			for _, ends := range [][2]int64{
 				{Variable, Variable}, {sa, Variable}, {Variable, baq}, {sa, baq}, {baq, baq},
 			} {
-				checkAgainstOracle(t, g, e, ends[0], expr, ends[1], Options{})
+				checkAgainstOracle(t, g, e, ends[0], expr, ends[1])
 			}
 		}
 	}
@@ -169,15 +138,16 @@ func TestRandomAgainstOracle(t *testing.T) {
 			s := int64(rng.Intn(g.NumNodes()))
 			o := int64(rng.Intn(g.NumNodes()))
 			node := pathexpr.String(expr)
-			checkAgainstOracle(t, g, e, Variable, node, Variable, Options{})
-			checkAgainstOracle(t, g, e, s, node, Variable, Options{})
-			checkAgainstOracle(t, g, e, Variable, node, o, Options{})
-			checkAgainstOracle(t, g, e, s, node, o, Options{})
+			checkAgainstOracle(t, g, e, Variable, node, Variable)
+			checkAgainstOracle(t, g, e, s, node, Variable)
+			checkAgainstOracle(t, g, e, Variable, node, o)
+			checkAgainstOracle(t, g, e, s, node, o)
 		}
 	}
 }
 
-// Fast paths must agree with the generic algorithm.
+// Fast paths must agree with the generic algorithm, which the widened
+// expression (same language, no fast-path shape) takes.
 func TestFastPathsMatchGeneric(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := enginetest.RandomGraph(seed, 15, 3, 60)
@@ -186,27 +156,10 @@ func TestFastPathsMatchGeneric(t *testing.T) {
 			node := pathexpr.MustParse(expr)
 			q := Query{Subject: Variable, Expr: node, Object: Variable}
 			fast := enginetest.SortPairs(collect(t, e, q, Options{}))
-			slow := enginetest.SortPairs(collect(t, e, q, Options{DisableFastPaths: true}))
+			q.Expr = enginetest.Widen(node)
+			slow := enginetest.SortPairs(collect(t, e, q, Options{}))
 			if !reflect.DeepEqual(fast, slow) {
 				t.Fatalf("seed %d %s: fast=%v generic=%v", seed, expr, fast, slow)
-			}
-		}
-	}
-}
-
-// Disabling the wavelet-node visited marks must not change results.
-func TestNodeMarksAblationAgrees(t *testing.T) {
-	for seed := int64(20); seed < 24; seed++ {
-		g := enginetest.RandomGraph(seed, 12, 3, 50)
-		e := newEngine(g, ring.WaveletMatrix)
-		rng := rand.New(rand.NewSource(seed))
-		for trial := 0; trial < 5; trial++ {
-			expr := enginetest.RandomExpr(rng, 3, 3)
-			q := Query{Subject: Variable, Expr: expr, Object: Variable}
-			a := enginetest.SortPairs(collect(t, e, q, Options{DisableFastPaths: true}))
-			b := enginetest.SortPairs(collect(t, e, q, Options{DisableFastPaths: true, DisableNodeMarks: true}))
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("seed %d %s: marks=%v nomarks=%v", seed, pathexpr.String(expr), a, b)
 			}
 		}
 	}
@@ -228,9 +181,9 @@ func TestWideFallback(t *testing.T) {
 	}
 	e := newEngine(g, ring.WaveletMatrix)
 	s := int64(2)
-	checkAgainstOracle(t, g, e, s, expr, Variable, Options{})
-	checkAgainstOracle(t, g, e, Variable, expr, int64(1), Options{})
-	checkAgainstOracle(t, g, e, Variable, expr, Variable, Options{})
+	checkAgainstOracle(t, g, e, s, expr, Variable)
+	checkAgainstOracle(t, g, e, Variable, expr, int64(1))
+	checkAgainstOracle(t, g, e, Variable, expr, Variable)
 }
 
 func TestLimit(t *testing.T) {
@@ -280,22 +233,29 @@ func TestTimeout(t *testing.T) {
 // On a dense graph a single BFS level covers thousands of leaf
 // expansions, so the deadline must be probed inside the part-1/part-2
 // inner loops — per leaf, not only per frontier entry — in every
-// stepping tier. A 1ns budget must come back in
-// bounded time with ErrTimeout, never run a huge level to completion.
+// stepping tier and in the multiword fallback. A 1ns budget must come
+// back in bounded time with ErrTimeout, never run a huge level to
+// completion.
 func TestTimeoutProbedInInnerLoops(t *testing.T) {
 	g := enginetest.RandomGraph(9, 400, 2, 12000)
-	// Non-nullable closure: the traversal reaches the leaf loops instead
-	// of timing out in the nullable self-pair prefix; fast paths off so
-	// the generic product-graph machinery runs.
+	// Non-nullable closure, which no fast path takes: the traversal
+	// reaches the leaf loops instead of timing out in the nullable
+	// self-pair prefix.
 	q := Query{Subject: Variable, Expr: pathexpr.MustParse("(pa|pb)+"), Object: Variable}
+	wide := q
+	wide.Expr = enginetest.Widen(q.Expr)
+	// The first evaluation interprets the expression, and repeating it
+	// past compileThreshold compiles it.
 	modes := []struct {
 		name string
-		opts Options
+		q    Query
+		runs int
 	}{
-		{"batched", Options{Timeout: time.Nanosecond, DisableFastPaths: true}},
-		{"compiled", Options{Timeout: time.Nanosecond, DisableFastPaths: true, CompileEager: true}},
-		{"interpreted", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DisableCompiled: true}},
+		{"interpreted", q, 1},
+		{"compiled", q, compileThreshold + 1},
+		{"widened", wide, 1},
 	}
+	opts := Options{Timeout: time.Nanosecond}
 	e := newEngine(g, ring.WaveletMatrix)
 	set := ring.NewShardSet(g, 3, nil, ring.WaveletMatrix)
 	sharded := NewShardedEngine(set, func(s pathexpr.Sym) (uint32, bool) {
@@ -307,22 +267,24 @@ func TestTimeoutProbedInInnerLoops(t *testing.T) {
 			eval func() error
 		}{
 			{"engine/" + m.name, func() error {
-				_, err := e.Eval(context.Background(), q, m.opts, func(s, o uint32) bool { return true })
+				_, err := e.Eval(context.Background(), m.q, opts, func(s, o uint32) bool { return true })
 				return err
 			}},
 			{"sharded/" + m.name, func() error {
-				_, err := sharded.Eval(context.Background(), q, m.opts, func(s, o uint32) bool { return true })
+				_, err := sharded.Eval(context.Background(), m.q, opts, func(s, o uint32) bool { return true })
 				return err
 			}},
 		} {
-			start := time.Now()
-			err := run.eval()
-			elapsed := time.Since(start)
-			if err != ErrTimeout {
-				t.Fatalf("%s: err=%v, want ErrTimeout", run.name, err)
-			}
-			if elapsed > 5*time.Second {
-				t.Fatalf("%s: 1ns deadline took %v", run.name, elapsed)
+			for i := 0; i < m.runs; i++ {
+				start := time.Now()
+				err := run.eval()
+				elapsed := time.Since(start)
+				if err != ErrTimeout {
+					t.Fatalf("%s run %d: err=%v, want ErrTimeout", run.name, i, err)
+				}
+				if elapsed > 5*time.Second {
+					t.Fatalf("%s run %d: 1ns deadline took %v", run.name, i, elapsed)
+				}
 			}
 		}
 	}
@@ -330,13 +292,13 @@ func TestTimeoutProbedInInnerLoops(t *testing.T) {
 
 // The nullable v→v self-pair prefix is O(|V|) before any traversal; an
 // already-expired deadline must interrupt it instead of emitting every
-// node first (fast paths disabled so the generic prefix loop runs).
+// node first (pa* takes no fast path, so the generic prefix loop runs).
 func TestTimeoutInterruptsNullablePrefix(t *testing.T) {
 	g := enginetest.RandomGraph(9, 3000, 2, 3000)
 	e := newEngine(g, ring.WaveletMatrix)
 	q := Query{Subject: Variable, Expr: pathexpr.MustParse("pa*"), Object: Variable}
 	emitted := 0
-	_, err := e.Eval(context.Background(), q, Options{Timeout: time.Nanosecond, DisableFastPaths: true},
+	_, err := e.Eval(context.Background(), q, Options{Timeout: time.Nanosecond},
 		func(s, o uint32) bool { emitted++; return true })
 	if err != ErrTimeout {
 		t.Fatalf("err=%v, want ErrTimeout", err)
@@ -430,7 +392,8 @@ func TestWorkBoundedByProductSubgraph(t *testing.T) {
 // mirror pb*/pa over a 200-node pb chain fed by three pa edges,
 // starting them at the pb end walks the chain once per candidate,
 // quadratic in its length; from the pa end the work stays within two
-// product nodes per result.
+// product nodes and two product edges per result. The widened cases
+// hold the multiword fallback to the same rule.
 func TestVarVarStartsAtSelectiveEnd(t *testing.T) {
 	b := triples.NewBuilder()
 	for _, e := range enginetest.RareIntoChain(200) {
@@ -438,8 +401,13 @@ func TestVarVarStartsAtSelectiveEnd(t *testing.T) {
 	}
 	g := b.Build()
 	set := ring.NewShardSet(g, 3, modPartitioner{}, ring.WaveletMatrix)
+	exprs := map[string]pathexpr.Node{}
 	for _, src := range []string{"pa/pb*", "pb*/pa"} {
-		q := Query{Subject: Variable, Expr: pathexpr.MustParse(src), Object: Variable}
+		exprs[src] = pathexpr.MustParse(src)
+		exprs["widened "+src] = enginetest.Widen(exprs[src])
+	}
+	for src, expr := range exprs {
+		q := Query{Subject: Variable, Expr: expr, Object: Variable}
 		want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
 		for _, ev := range []struct {
 			name string
@@ -457,9 +425,9 @@ func TestVarVarStartsAtSelectiveEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			diffPairs(t, ev.name, enginetest.SortPairs(got), want, q)
-			if st.ProductNodes > 2*st.Results+2 {
-				t.Errorf("%s: %s activated %d product nodes for %d results, want at most %d",
-					ev.name, src, st.ProductNodes, st.Results, 2*st.Results+2)
+			if bound := 2*st.Results + 2; st.ProductNodes > bound || st.ProductEdges > bound {
+				t.Errorf("%s: %s took %d product nodes and %d product edges for %d results, want at most %d each",
+					ev.name, src, st.ProductNodes, st.ProductEdges, st.Results, bound)
 			}
 		}
 	}
@@ -474,8 +442,8 @@ func TestEngineReuse(t *testing.T) {
 	g := enginetest.Metro()
 	e := newEngine(g, ring.WaveletMatrix)
 	for i := 0; i < 10; i++ {
-		checkAgainstOracle(t, g, e, Variable, "(l1|l2|l5)+", Variable, Options{})
-		checkAgainstOracle(t, g, e, mustID(t, g, "Baq"), "l5+/bus", Variable, Options{})
+		checkAgainstOracle(t, g, e, Variable, "(l1|l2|l5)+", Variable)
+		checkAgainstOracle(t, g, e, mustID(t, g, "Baq"), "l5+/bus", Variable)
 	}
 }
 
@@ -528,7 +496,7 @@ func TestNegatedPropertySets(t *testing.T) {
 			for _, ends := range [][2]int64{
 				{Variable, Variable}, {sa, Variable}, {Variable, baq}, {sa, baq},
 			} {
-				checkAgainstOracle(t, g, e, ends[0], expr, ends[1], Options{})
+				checkAgainstOracle(t, g, e, ends[0], expr, ends[1])
 			}
 		}
 	}
@@ -542,9 +510,9 @@ func TestNegatedSetsRandom(t *testing.T) {
 		for _, expr := range []string{
 			"!pa", "!pa/pb", "(!pa)+", "!(pa|pb)*", "!^pb", "pa|!pb",
 		} {
-			checkAgainstOracle(t, g, e, Variable, expr, Variable, Options{})
-			checkAgainstOracle(t, g, e, 3, expr, Variable, Options{})
-			checkAgainstOracle(t, g, e, Variable, expr, 5, Options{})
+			checkAgainstOracle(t, g, e, Variable, expr, Variable)
+			checkAgainstOracle(t, g, e, 3, expr, Variable)
+			checkAgainstOracle(t, g, e, Variable, expr, 5)
 		}
 	}
 }
@@ -600,8 +568,8 @@ func TestLocality(t *testing.T) {
 }
 
 // The level-synchronous BFS must produce exactly the oracle's result
-// set with the fast paths off, for every shape the generic algorithm
-// orchestrates (v→v two-phase, c→v, v→c).
+// set for every shape the generic algorithm orchestrates (v→v
+// two-phase, c→v, v→c).
 func TestBFSMatchesOracle(t *testing.T) {
 	for seed := int64(60); seed < 66; seed++ {
 		g := enginetest.RandomGraph(seed, 14, 3, 60)
@@ -612,7 +580,7 @@ func TestBFSMatchesOracle(t *testing.T) {
 			for _, ends := range [][2]int64{{Variable, Variable}, {2, Variable}, {Variable, 3}} {
 				q := Query{Subject: ends[0], Expr: expr, Object: ends[1]}
 				want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
-				diffPairs(t, "bfs vs oracle", evalPairs(t, e, q, Options{DisableFastPaths: true}), want, q)
+				diffPairs(t, "bfs vs oracle", evalPairs(t, e, q, Options{}), want, q)
 			}
 		}
 	}

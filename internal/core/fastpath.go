@@ -74,7 +74,7 @@ func (e *Engine) fastSingle(sym pathexpr.Sym) error {
 		if failure != nil {
 			return
 		}
-		if err := e.clock.Check(); err != nil {
+		if err := e.Clock.Check(); err != nil {
 			failure = err
 			return
 		}
@@ -85,7 +85,7 @@ func (e *Engine) fastSingle(sym pathexpr.Sym) error {
 				return
 			}
 			if e.pairs.add(s, o) && !e.emit(s, o) {
-				failure = errLimit
+				failure = ErrLimit
 			}
 		})
 	})
@@ -110,7 +110,7 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym) error {
 		if failure != nil {
 			return
 		}
-		if err := e.clock.Check(); err != nil {
+		if err := e.Clock.Check(); err != nil {
 			failure = err
 			return
 		}
@@ -126,7 +126,7 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym) error {
 					return
 				}
 				if e.pairs.add(s, o) && !e.emit(s, o) {
-					failure = errLimit
+					failure = ErrLimit
 				}
 			})
 		})

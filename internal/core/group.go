@@ -30,11 +30,10 @@ import (
 // instead of K times.
 //
 // Members must be groupable: a single fixed endpoint (the (s,E,y) shape
-// is normalised to (x,Ê,s) exactly as in dispatch), a ≤64-state
-// automaton, and the default marked/compiled configuration. Everything
-// else — both-variable, both-const, wide, mark-less or
-// interpreter-forced evaluations — falls back to a solo Eval within the
-// same call, so callers can hand over any mix. Whether a member groups
+// is normalised to (x,Ê,s) exactly as in Dispatch) and a ≤64-state
+// automaton. Everything else — both-variable, both-const and wide
+// evaluations — falls back to a solo Eval within the same call, so
+// callers can hand over any mix. Whether a member groups
 // depends only on the member itself, never on its position in the
 // batch.
 //
@@ -126,9 +125,6 @@ type TraversalGroup struct {
 // so, builds its member state (compiling the expression eagerly).
 func (e *Engine) groupable(gq *GroupQuery) (*groupMember, bool) {
 	opts := gq.Opts
-	if opts.DisableNodeMarks || opts.DisableCompiled {
-		return nil, false
-	}
 	q := gq.Query
 	var expr pathexpr.Node
 	var o uint32
@@ -147,7 +143,7 @@ func (e *Engine) groupable(gq *GroupQuery) (*groupMember, bool) {
 	// Group members compile eagerly: sharing a descent requires the
 	// precomputed B[v] arrays, and a query worth grouping is worth
 	// compiling.
-	ca := e.memo.Get(expr, true, false)
+	ca := e.memo.Get(expr, true)
 	if ca.Eng == nil {
 		return nil, false // wide automaton: interpreter-only
 	}
@@ -391,7 +387,7 @@ func (g *TraversalGroup) run() {
 	for _, m := range ms {
 		e.putGroupD(m.dNode)
 		m.gq.Err = m.err
-		if errors.Is(m.gq.Err, errLimit) {
+		if errors.Is(m.gq.Err, ErrLimit) {
 			m.gq.Err = nil
 		}
 	}

@@ -72,7 +72,7 @@ type ShardedEngine struct {
 	// queue collects the frontier's next level.
 	queue []Item
 
-	evalState
+	EvalState
 	// init is the initial-state mask of the installed automaton.
 	init uint64
 }
@@ -94,9 +94,7 @@ func NewShardedEngine(set *ring.ShardSet, ids glushkov.SymbolIDs) *ShardedEngine
 	for i, r := range set.Shards {
 		e.workers[i] = newShardWorker(r)
 	}
-	e.t = e
-	e.memo = NewMemo(ids, set.NumPreds, set.Shards)
-	e.numNodes = set.NumNodes
+	e.Init(e, NewMemo(ids, set.NumPreds, set.Shards), set.NumNodes)
 	return e
 }
 
@@ -121,8 +119,8 @@ func (e *ShardedEngine) Eval(ctx context.Context, q Query, opts Options, emit Em
 		return e.engineFor(shard).Eval(ctx, q, opts, emit)
 	}
 	opts = FoldContext(ctx, opts)
-	sp := e.begin(opts, emit)
-	return e.end(sp, e.dispatch(q))
+	sp := e.Begin(opts, emit)
+	return e.End(sp, e.Dispatch(q))
 }
 
 // route reports the one shard that holds every edge a path matching
@@ -169,40 +167,36 @@ func (e *ShardedEngine) engineFor(k int) *Engine {
 	return e.engines[k]
 }
 
-// prepare compiles expr and readies every shard worker.
-func (e *ShardedEngine) prepare(expr pathexpr.Node) *glushkov.Engine {
-	if e.noCompile {
-		return nil
-	}
-	c := e.memo.Get(expr, e.eager, false)
+// Prepare compiles expr and readies every shard worker.
+func (e *ShardedEngine) Prepare(expr pathexpr.Node) *glushkov.Engine {
+	c := e.memo.Get(expr, false)
 	if c.Eng == nil {
 		return nil
 	}
 	e.init = c.Eng.Init
 	e.d.Reset()
 	for i, w := range e.workers {
-		w.noMarks = e.noMarks
 		w.Install(c, i)
 		w.found = w.found[:0]
 		w.stats = Stats{}
 		w.err = nil
-		w.clock = Clock{deadline: e.clock.deadline}
+		w.clock = Clock{deadline: e.Clock.deadline}
 	}
 	return c.Eng
 }
 
-// release folds the workers' traversal statistics into the evaluation
+// Release folds the workers' traversal statistics into the evaluation
 // stats and resets their working arrays in O(1).
-func (e *ShardedEngine) release() {
+func (e *ShardedEngine) Release() {
 	for _, w := range e.workers {
-		e.stats.ProductEdges += w.stats.ProductEdges
-		e.stats.WaveletVisits += w.stats.WaveletVisits
+		e.Stats.ProductEdges += w.stats.ProductEdges
+		e.Stats.WaveletVisits += w.stats.WaveletVisits
 		w.Release()
 	}
 	e.queue = e.queue[:0]
 }
 
-func (e *ShardedEngine) seed(o uint32, d uint64) {
+func (e *ShardedEngine) Seed(o uint32, d uint64) {
 	e.d.Reset()
 	e.d.Set(int(o), d)
 	for _, w := range e.workers {
@@ -212,7 +206,7 @@ func (e *ShardedEngine) seed(o uint32, d uint64) {
 	e.queue = append(e.queue[:0], Item{o, d})
 }
 
-func (e *ShardedEngine) full(d, base uint64, report EmitFunc) error {
+func (e *ShardedEngine) Full(d, base uint64, report EmitFunc) error {
 	e.queue = e.queue[:0]
 	e.forEachWorker(func(w *shardWorker) {
 		if w.err == nil {
@@ -222,22 +216,22 @@ func (e *ShardedEngine) full(d, base uint64, report EmitFunc) error {
 	if err := e.collect(base, report); err != nil {
 		return err
 	}
-	return e.run(base, report)
+	return e.Run(base, report)
 }
 
-// run drains the frontier level by level: every shard expands the whole
+// Run drains the frontier level by level: every shard expands the whole
 // level over its own sub-ring (concurrently when enabled), then the
 // single-threaded merge dedups, emits and builds the next level.
-func (e *ShardedEngine) run(base uint64, report EmitFunc) error {
+func (e *ShardedEngine) Run(base uint64, report EmitFunc) error {
 	for len(e.queue) > 0 {
-		if err := e.clock.Check(); err != nil {
+		if err := e.Clock.Check(); err != nil {
 			return err
 		}
 		level := NextLevel(e.queue)
 		sp, visits0 := -1, 0
-		if e.trace != nil {
+		if e.Trace != nil {
 			visits0 = e.shardVisits()
-			sp = e.trace.Begin(obs.SpanLevel)
+			sp = e.Trace.Begin(obs.SpanLevel)
 		}
 		// The level is shared read-only; each worker builds its own item
 		// list over its sub-ring.
@@ -250,7 +244,7 @@ func (e *ShardedEngine) run(base uint64, report EmitFunc) error {
 		// queue with the next one.
 		e.queue = e.queue[:0]
 		err := e.collect(base, report)
-		e.trace.EndVals(sp, int64(len(level)), int64(e.shardVisits()-visits0))
+		e.Trace.EndVals(sp, int64(len(level)), int64(e.shardVisits()-visits0))
 		if err != nil {
 			return err
 		}
@@ -258,8 +252,14 @@ func (e *ShardedEngine) run(base uint64, report EmitFunc) error {
 	return nil
 }
 
+func (e *ShardedEngine) Card(p uint32) int { return e.ringsCard(p) }
+
+func (e *ShardedEngine) InEdges(o int64, step func(p uint32) func(s uint32) bool) {
+	e.ringsInEdges(o, step)
+}
+
 // shardVisits sums the in-flight per-worker wavelet-visit counters
-// (folded into e.stats only at release time), for level-span deltas.
+// (folded into e.Stats only at Release time), for level-span deltas.
 func (e *ShardedEngine) shardVisits() int {
 	total := 0
 	for _, w := range e.workers {
@@ -309,10 +309,10 @@ func (e *ShardedEngine) collect(base uint64, report EmitFunc) error {
 				continue
 			}
 			e.d.Or(int(it.Node), fresh)
-			e.stats.ProductNodes++
+			e.Stats.ProductNodes++
 			if fresh&e.init != 0 {
 				if !report(it.Node, 0) {
-					failure = errLimit
+					failure = ErrLimit
 					break
 				}
 				fresh &^= e.init // the initial state has no incoming work

@@ -59,6 +59,22 @@ func diffPairs(t *testing.T, label string, got, want []enginetest.Pair, q Query)
 	}
 }
 
+// checkVariants checks q on ev against want the three ways every
+// differential case runs: the hotness default; the compiled stepper,
+// repeating the evaluation until the expression's use count passes
+// compileThreshold; and the widened expression (enginetest.Widen),
+// which takes the multiword fallback.
+func checkVariants(t *testing.T, label string, ev Evaluator, q Query, want []enginetest.Pair) {
+	t.Helper()
+	diffPairs(t, label, evalPairs(t, ev, q, Options{}), want, q)
+	for i := 0; i < compileThreshold; i++ {
+		diffPairs(t, label+" (compiled)", evalPairs(t, ev, q, Options{}), want, q)
+	}
+	wide := q
+	wide.Expr = enginetest.Widen(q.Expr)
+	diffPairs(t, label+" (widened)", evalPairs(t, ev, wide, Options{}), want, q)
+}
+
 // queriesFor derives the four endpoint shapes (v→v, c→v, v→c, c→c) for
 // one expression, with constants drawn from the oracle's result pairs
 // when possible (so constant queries are not vacuously empty) plus a
@@ -100,17 +116,9 @@ func TestShardedDifferentialRandom(t *testing.T) {
 			expr := enginetest.RandomExpr(rng, np, 1+rng.Intn(3))
 			for _, q := range queriesFor(rng, g, expr) {
 				want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
-				diffPairs(t, "engine vs oracle", evalPairs(t, eng, q, Options{}), want, q)
-				diffPairs(t, "engine compiled vs oracle",
-					evalPairs(t, eng, q, Options{CompileEager: true}), want, q)
-				diffPairs(t, "engine interpreted vs oracle",
-					evalPairs(t, eng, q, Options{DisableCompiled: true}), want, q)
+				checkVariants(t, "engine vs oracle", eng, q, want)
 				diffPairs(t, "bfs vs oracle", bfsPairs(t, ix, q), want, q)
-				diffPairs(t, fmt.Sprintf("sharded(k=%d) vs oracle", k), evalPairs(t, sharded, q, Options{}), want, q)
-				diffPairs(t, fmt.Sprintf("sharded(k=%d) compiled vs oracle", k),
-					evalPairs(t, sharded, q, Options{CompileEager: true}), want, q)
-				diffPairs(t, fmt.Sprintf("sharded(k=%d) interpreted vs oracle", k),
-					evalPairs(t, sharded, q, Options{DisableCompiled: true}), want, q)
+				checkVariants(t, fmt.Sprintf("sharded(k=%d) vs oracle", k), sharded, q, want)
 			}
 		}
 	}
@@ -281,26 +289,6 @@ func TestShardedLimitAndTimeout(t *testing.T) {
 	// deadline probe, which the 64-step cadence makes likely here).
 	if err != nil && err != ErrTimeout {
 		t.Fatalf("timeout eval: unexpected error %v", err)
-	}
-}
-
-// TestShardedDisableNodeMarks runs the cooperative path with the D[v]
-// internal-node pruning disabled (the §4.2 ablation switch) and checks
-// the result set is unchanged.
-func TestShardedDisableNodeMarks(t *testing.T) {
-	g := enginetest.RandomGraph(29, 14, 4, 70)
-	r := ring.New(g, ring.WaveletMatrix)
-	eng := NewEngine(r, idsOf(g))
-	set := ring.NewShardSet(g, 3, modPartitioner{}, ring.WaveletMatrix)
-	sharded := NewShardedEngine(set, idsOf(g))
-	rng := rand.New(rand.NewSource(31))
-	for qi := 0; qi < 4; qi++ {
-		expr := enginetest.RandomExpr(rng, 4, 2)
-		for _, q := range queriesFor(rng, g, expr) {
-			want := evalPairs(t, eng, q, Options{})
-			got := evalPairs(t, sharded, q, Options{DisableNodeMarks: true})
-			diffPairs(t, "no-marks", got, want, q)
-		}
 	}
 }
 

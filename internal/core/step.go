@@ -117,8 +117,6 @@ type LevelOwner struct {
 	bNode, dNode *lazy.MaskArray
 	bArr         []uint64
 	lsPads       []wavelet.NodeID
-	// noMarks keeps only per-subject D marks (the §4.2 ablation).
-	noMarks bool
 	// st steps the automaton: the compiled stepper when the expression
 	// is hot, else the interpreting glushkov.Engine.
 	st             glushkov.Stepper
@@ -183,22 +181,13 @@ func (o *LevelOwner) Release() {
 // for ids beyond the ring).
 func (o *LevelOwner) Mark(s uint32, states uint64) {
 	if int(s) < o.R.NumNodes {
-		o.markLeaf(o.R.Ls.LeafID(s), states)
+		markSubjectOn(o.dNode, o.R.Ls.LeafID(s), states)
 	}
 }
 
-// markLeaf marks the subject at leaf id and restores the invariant that
-// every internal mark is the intersection of its children.
-func (o *LevelOwner) markLeaf(leaf wavelet.NodeID, states uint64) {
-	if o.noMarks {
-		o.dNode.Or(int(leaf), states)
-		return
-	}
-	markSubjectOn(o.dNode, leaf, states)
-}
-
-// markSubjectOn is the marking of markLeaf against an arbitrary mask
-// array (each EvalGroup member owns one).
+// markSubjectOn marks the subject at leaf id in d (the owner's D[v]
+// marks, or an EvalGroup member's) and restores the invariant that every
+// internal mark is the intersection of its children.
 func markSubjectOn(d *lazy.MaskArray, leaf wavelet.NodeID, states uint64) {
 	d.Or(int(leaf), states)
 	for id := leaf.Parent(); id >= 1; id = id.Parent() {
@@ -345,7 +334,7 @@ func (o *LevelOwner) part2One(b, end int, d2, base uint64) error {
 		if !leaf {
 			// Prune subtrees all of whose subjects were already visited
 			// with every state in d2.
-			return o.noMarks || d2&^visited != 0
+			return d2&^visited != 0
 		}
 		o.one[0] = wavelet.RangeMask{B: rb, E: re, Mask: d2}
 		failure = o.leaf(node, s, o.one[:], visited)
@@ -374,7 +363,7 @@ func (o *LevelOwner) leaf(node wavelet.NodeID, s uint32, its []wavelet.RangeMask
 	if fresh == 0 {
 		return nil
 	}
-	o.markLeaf(node, all)
+	markSubjectOn(o.dNode, node, all)
 	return o.Leaf(s, all, fresh)
 }
 
@@ -442,9 +431,6 @@ func (o *LevelOwner) stepMany(items []wavelet.RangeMask, base uint64) error {
 		o.Stats.WaveletVisits++
 		visited := o.dNode.Get(int(node)) | base
 		if !leaf {
-			if o.noMarks {
-				return len(its)
-			}
 			// Prune items whose subjects below were all already visited
 			// with every state they carry.
 			k := 0

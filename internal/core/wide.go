@@ -3,7 +3,6 @@ package core
 import (
 	"ringrpq/internal/glushkov"
 	"ringrpq/internal/pathexpr"
-	"ringrpq/internal/ring"
 	"ringrpq/internal/wavelet"
 )
 
@@ -15,12 +14,13 @@ import (
 // the same O(m/w) factor. Such expressions are vanishingly rare in real
 // logs — the Wikidata log's queries have fewer than 16 predicates (§5).
 //
-// The drivers run over the memo's rings, which share one id space: the
-// single engine's ring, or every shard of the sharded engine. Each
-// dequeued (node, states) item steps through every ring in turn against
-// one visited map, so this is the plain §4 traversal of the union
-// graph; it runs sequentially (there are no per-ring masks to keep
-// coherent).
+// The fallback is written once for every engine, over the Traversal's
+// InEdges: Engine and ShardedEngine list a node's in-edges from every
+// ring of the memo in turn (ringsInEdges), the overlay union engine
+// from every ring minus its tombstones plus its adds. Each dequeued
+// (node, states) item steps through all of them against one visited
+// map, so this is the plain §4 traversal of the union graph; it runs
+// sequentially (there are no per-ring masks to keep coherent).
 
 type wideState struct {
 	eng     *glushkov.Wide
@@ -29,13 +29,13 @@ type wideState struct {
 	states  []glushkov.Mask
 }
 
-func (s *evalState) newWideState(expr pathexpr.Node) *wideState {
-	c := s.memo.Get(expr, s.eager, s.noCompile)
+func (s *EvalState) newWideState(expr pathexpr.Node) *wideState {
+	c := s.memo.Get(expr, false)
 	return &wideState{eng: s.memo.Wide(c), visited: make(map[uint32]glushkov.Mask)}
 }
 
 // wideStart is newWideState seeded at o with the final states.
-func (s *evalState) wideStart(expr pathexpr.Node, o uint32) *wideState {
+func (s *EvalState) wideStart(expr pathexpr.Node, o uint32) *wideState {
 	w := s.newWideState(expr)
 	w.visited[o] = w.eng.F.Clone()
 	w.queue = append(w.queue, o)
@@ -65,8 +65,8 @@ func (w *wideState) enqueue(node uint32, d glushkov.Mask) glushkov.Mask {
 	return fresh
 }
 
-func (s *evalState) wideEvalToConst(expr pathexpr.Node, o uint32, swap bool) error {
-	if int(o) >= s.numNodes {
+func (s *EvalState) wideEvalToConst(expr pathexpr.Node, o uint32, swap bool) error {
+	if int(o) >= s.NumNodes {
 		return nil
 	}
 	emit := func(r uint32) bool {
@@ -77,17 +77,17 @@ func (s *evalState) wideEvalToConst(expr pathexpr.Node, o uint32, swap bool) err
 	}
 	w := s.wideStart(expr, o)
 	if w.eng.A.Nullable && !emit(o) {
-		return errLimit
+		return ErrLimit
 	}
 	return s.wideBFS(w, nil, emit)
 }
 
-func (s *evalState) wideRunToConst(expr pathexpr.Node, o uint32, emit EmitFunc) error {
+func (s *EvalState) wideRunToConst(expr pathexpr.Node, o uint32, emit EmitFunc) error {
 	return s.wideBFS(s.wideStart(expr, o), nil, func(r uint32) bool { return emit(r, 0) })
 }
 
-func (s *evalState) wideEvalBothConst(expr pathexpr.Node, src, o uint32) error {
-	if int(o) >= s.numNodes || int(src) >= s.numNodes {
+func (s *EvalState) wideEvalBothConst(expr pathexpr.Node, src, o uint32) error {
+	if int(o) >= s.NumNodes || int(src) >= s.NumNodes {
 		return nil
 	}
 	w := s.wideStart(expr, o)
@@ -104,7 +104,7 @@ func (s *evalState) wideEvalBothConst(expr pathexpr.Node, src, o uint32) error {
 	})
 }
 
-func (s *evalState) wideFullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
+func (s *EvalState) wideFullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
 	w := s.newWideState(expr)
 	base := w.eng.F.Clone()
 	if base.Test(0) {
@@ -113,76 +113,89 @@ func (s *evalState) wideFullRangeSources(expr pathexpr.Node, emit EmitFunc) erro
 	// Pre-visiting every node with base is impractical for multiword
 	// masks; instead fold base into the step's dedup check.
 	report := func(r uint32) bool { return emit(r, 0) }
-	for _, r := range s.memo.rings {
-		if r.N == 0 {
-			continue
-		}
-		if err := s.wideStep(r, w, 0, r.N, w.eng.F, base, report); err != nil {
-			return err
-		}
+	if err := s.wideStep(w, Variable, w.eng.F, base, report); err != nil {
+		return err
 	}
 	return s.wideBFS(w, base, report)
 }
 
-func (s *evalState) wideBFS(w *wideState, base glushkov.Mask, emit func(uint32) bool) error {
+func (s *EvalState) wideBFS(w *wideState, base glushkov.Mask, emit func(uint32) bool) error {
 	for head := 0; head < len(w.queue); head++ {
-		node, d := w.queue[head], w.states[head]
-		for _, r := range s.memo.rings {
-			b, end := r.ObjectRange(node)
-			if b == end {
-				continue
-			}
-			if err := s.wideStep(r, w, b, end, d, base, emit); err != nil {
-				return err
-			}
+		if err := s.wideStep(w, int64(w.queue[head]), w.states[head], base, emit); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// wideStep is the multiword analogue of the §4 step over one ring:
-// part 1 enumerates all distinct predicates of the range (no B[v]
-// pruning) and filters by B[p]; part 2 enumerates distinct subjects and
-// dedups against the visited map.
-func (s *evalState) wideStep(r *ring.Ring, w *wideState, b, end int, d, base glushkov.Mask, emit func(uint32) bool) error {
-	if err := s.clock.Check(); err != nil {
+// wideStep is the multiword analogue of the §4 step from object o (every
+// object when o is Variable) with states d: each in-edge predicate is
+// filtered by B[p] and stepped once, and its subjects are deduped
+// against the visited map.
+func (s *EvalState) wideStep(w *wideState, o int64, d, base glushkov.Mask, emit func(uint32) bool) error {
+	if err := s.Clock.Check(); err != nil {
 		return err
 	}
 	d2 := w.eng.NewMask()
 	var failure error
-	wavelet.RangeDistinct(r.Lp, b, end, func(p uint32, rb, re int) {
-		if failure != nil {
-			return
+	arrive := func(src uint32) bool {
+		cand := d2.Clone()
+		if base != nil {
+			cand.AndNot(base)
 		}
-		s.stats.WaveletVisits++
+		fresh := w.enqueue(src, cand)
+		if fresh == nil {
+			return true
+		}
+		s.Stats.ProductNodes++
+		if fresh.Test(0) && !emit(src) {
+			failure = ErrLimit
+		}
+		return failure == nil
+	}
+	s.t.InEdges(o, func(p uint32) func(uint32) bool {
 		bp := w.eng.BFor(p)
 		if bp == nil || !d.Intersects(bp) {
-			return
+			return nil
 		}
-		s.stats.ProductEdges++
+		s.Stats.ProductEdges++
 		w.eng.StepRevInto(d2, d, p)
 		if !d2.Any() {
-			return
+			return nil
 		}
-		lsB, lsE := r.Cp[p]+rb, r.Cp[p]+re
-		wavelet.RangeDistinct(r.Ls, lsB, lsE, func(src uint32, _, _ int) {
-			if failure != nil {
-				return
-			}
-			s.stats.WaveletVisits++
-			cand := d2.Clone()
-			if base != nil {
-				cand.AndNot(base)
-			}
-			fresh := w.enqueue(src, cand)
-			if fresh == nil {
-				return
-			}
-			s.stats.ProductNodes++
-			if fresh.Test(0) && !emit(src) {
-				failure = errLimit
-			}
-		})
+		return arrive
 	})
 	return failure
+}
+
+// ringsInEdges is InEdges over the memo's rings: per ring, the distinct
+// predicates of o's L_p range (all of L_p when o is Variable), each
+// offered to step before its distinct subjects are listed.
+func (s *EvalState) ringsInEdges(o int64, step func(p uint32) func(s uint32) bool) {
+	for _, r := range s.memo.rings {
+		b, end := 0, r.N
+		if o != Variable {
+			b, end = r.ObjectRange(uint32(o))
+		}
+		more := true
+		wavelet.RangeDistinct(r.Lp, b, end, func(p uint32, rb, re int) {
+			if !more {
+				return
+			}
+			s.Stats.WaveletVisits++
+			each := step(p)
+			if each == nil {
+				return
+			}
+			wavelet.RangeDistinct(r.Ls, r.Cp[p]+rb, r.Cp[p]+re, func(src uint32, _, _ int) {
+				if more {
+					s.Stats.WaveletVisits++
+					more = each(src)
+				}
+			})
+		})
+		if !more {
+			return
+		}
+	}
 }

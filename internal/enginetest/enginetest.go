@@ -92,6 +92,19 @@ func RandomExpr(rng *rand.Rand, np, depth int) pathexpr.Node {
 	}
 }
 
+// Widen returns expr | z/z/…/z, with 64 occurrences of a predicate z
+// that no test graph has. The language is expr's, but the automaton has
+// more than 63 positions, so the engines evaluate it with the multiword
+// fallback: the differential tests run every case widened to check that
+// fallback against the oracle on all three engines.
+func Widen(expr pathexpr.Node) pathexpr.Node {
+	var absent pathexpr.Node = pathexpr.Sym{Name: "z"}
+	for i := 1; i < 64; i++ {
+		absent = pathexpr.Concat{L: absent, R: pathexpr.Sym{Name: "z"}}
+	}
+	return pathexpr.Alt{L: expr, R: absent}
+}
+
 // relation is a set of pairs.
 type relation map[Pair]bool
 

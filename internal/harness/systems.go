@@ -68,7 +68,8 @@ func (s *Ring) Name() string { return s.name }
 // engine needs L_s, L_p and the C arrays only.
 func (s *Ring) SizeBytes() int { return s.r.QuerySizeBytes() }
 
-// Engine exposes the underlying engine (for ablation benchmarks).
+// Engine exposes the underlying engine (for the benchmarks that time
+// it directly).
 func (s *Ring) Engine() *core.Engine { return s.engine }
 
 // Graph exposes the underlying graph (for the service-pool benchmark).

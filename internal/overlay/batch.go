@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"ringrpq/internal/core"
+	"ringrpq/internal/ring"
 	"ringrpq/internal/wavelet"
 )
 
@@ -96,4 +97,30 @@ func (e *Engine) overlayLevel(level []core.Item) error {
 		}
 	}
 	return nil
+}
+
+// EachInEdge streams the union in-edges of object o as (p, s) pairs:
+// every sub-ring's object range (tombstones dropped) followed by the
+// overlay's adds. Return false to stop. Per-edge wavelet access — the
+// generic enumeration behind the union engine's InEdges (the multiword
+// fallback) and the pattern executor's union-mode edge scans.
+func EachInEdge(rings []*ring.Ring, ov *Overlay, o uint32, fn func(p, s uint32) bool) bool {
+	for _, r := range rings {
+		if int(o) >= r.NumNodes {
+			continue
+		}
+		b, end := r.ObjectRange(o)
+		for i := b; i < end; i++ {
+			p := r.Lp.Access(i)
+			pos := r.Cp[p] + r.Lp.Rank(p, i)
+			s := r.Ls.Access(pos)
+			if ov.Deleted(Edge{S: s, P: p, O: o}) {
+				continue
+			}
+			if !fn(p, s) {
+				return false
+			}
+		}
+	}
+	return ov.InEdges(o, fn)
 }

@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"context"
-	"errors"
 
 	"ringrpq/internal/core"
 	"ringrpq/internal/glushkov"
@@ -16,10 +15,13 @@ import (
 // implementing core.Evaluator so the snapshot layer can swap it in
 // wherever a static engine is expected.
 //
-// The traversal is the paper's backward product-graph search (§4),
-// driven level by level over core's one §4 step (core.LevelOwner, per
-// item below the batch cutoff and frontier-batched above it), with
-// three departures from core.Engine:
+// It is the third core.Traversal: core.EvalState's §4.4 drivers and
+// multiword fallback orchestrate every endpoint shape, exactly as for
+// core.Engine and core.ShardedEngine. The traversal under them is the
+// paper's backward product-graph search (§4), driven level by level over
+// core's one §4 step (core.LevelOwner, per item below the batch cutoff
+// and frontier-batched above it), with three departures from
+// core.Engine:
 //
 //   - each level unions the in-edges of its objects across every static
 //     sub-ring (one for the single-ring layout, K for a sharded one —
@@ -34,9 +36,9 @@ import (
 // When the query's predicates have no overlay adds or tombstones (and
 // nullability cannot surface overlay-only nodes), the whole evaluation
 // is delegated to the static engine: a read-mostly workload keeps
-// static-path performance even mid-update. Otherwise Options apply as
-// for core.Engine: the union engine has its own §5 fast paths
-// (fastpath.go), which DisableFastPaths turns off.
+// static-path performance even mid-update. Otherwise the union engine
+// takes the join-like v→v shapes through its own §5 fast paths
+// (fastpath.go), and everything else through the shared drivers.
 //
 // Like core.Engine it owns working arrays and must not be used
 // concurrently; build one per worker clone.
@@ -46,8 +48,7 @@ type Engine struct {
 	ids      glushkov.SymbolIDs
 	numPreds uint32 // completed alphabet size
 
-	ov       *Overlay
-	numNodes int // snapshot dictionary size ≥ every ring's NumNodes
+	ov *Overlay
 
 	work         []*ringWork
 	memo         *core.Memo
@@ -55,14 +56,10 @@ type Engine struct {
 	visited      *lazy.MaskArray // global per-node visited-state masks
 	queue, level []core.Item
 
-	// per-evaluation state
-	stats     core.Stats
-	trace     *obs.Trace
-	clock     core.Clock
-	base      uint64
-	eager     bool
-	noCompile bool
-	fastErr   error
+	core.EvalState
+	// base holds the states the running traversal counts as visited at
+	// every node (see core.Traversal.Run).
+	base uint64
 	// st, init are the installed automaton's stepper and initial-state
 	// mask; report is the running traversal's report of nodes reaching
 	// the initial state.
@@ -84,9 +81,7 @@ type ringWork struct {
 }
 
 var _ core.Evaluator = (*Engine)(nil)
-
-// errLimit mirrors core's internal limit sentinel.
-var errLimit = errors.New("overlay: result limit")
+var _ core.Traversal = (*Engine)(nil)
 
 // NewEngine builds a union evaluator. static is the snapshot's ordinary
 // evaluator (single-ring or sharded engine) used for whole-query
@@ -96,11 +91,12 @@ func NewEngine(static core.Evaluator, rings []*ring.Ring, ids glushkov.SymbolIDs
 	e := &Engine{static: static, rings: rings, ids: ids, numPreds: numPreds, memo: core.NewMemo(ids, numPreds, rings)}
 	for _, r := range rings {
 		w := &ringWork{LevelOwner: core.NewLevelOwner(r), rankOf: map[Edge]int{}}
-		w.Stats = &e.stats
-		w.Clock = &e.clock
+		w.Stats = &e.Stats
+		w.Clock = &e.Clock
 		w.Leaf = func(s uint32, all, _ uint64) error { return e.arrive(s, all) }
 		e.work = append(e.work, w)
 	}
+	e.Init(e, e.memo, 0)
 	return e
 }
 
@@ -109,7 +105,7 @@ func NewEngine(static core.Evaluator, rings []*ring.Ring, ids glushkov.SymbolIDs
 // taken, covering every overlay add).
 func (e *Engine) SetSnapshot(ov *Overlay, numNodes int) {
 	e.ov = ov
-	e.numNodes = numNodes
+	e.NumNodes = numNodes
 	if e.visited == nil || e.visited.Len() < numNodes {
 		e.visited = lazy.NewMaskArray(numNodes)
 	}
@@ -133,7 +129,7 @@ func (e *Engine) canDelegate(a *glushkov.Automaton) bool {
 	if a.HasClasses() {
 		return false
 	}
-	if a.Nullable && e.numNodes > e.staticNumNodes() {
+	if a.Nullable && e.NumNodes > e.staticNumNodes() {
 		return false
 	}
 	for _, c := range a.Syms {
@@ -151,71 +147,37 @@ func (e *Engine) canDelegate(a *glushkov.Automaton) bool {
 // pairs, Options.Limit/Timeout honoured, ErrTimeout with valid partial
 // results.
 func (e *Engine) Eval(ctx context.Context, q core.Query, opts core.Options, emit core.EmitFunc) (core.Stats, error) {
-	if e.ov == nil || e.ov.Empty() {
+	if e.ov == nil || e.ov.Empty() || e.canDelegate(e.memo.Get(q.Expr, false).A) {
 		return e.static.Eval(ctx, q, opts, emit)
 	}
-	opts = core.FoldContext(ctx, opts)
-	e.eager = opts.CompileEager
-	e.noCompile = opts.DisableCompiled
-	if c := e.compile(q.Expr); e.canDelegate(c.A) {
-		return e.static.Eval(ctx, q, opts, emit)
-	}
-
-	e.stats = core.Stats{}
-	e.clock.Start(opts.Timeout)
-	e.base = 0
-	e.trace = opts.Trace
-	limit := opts.Limit
-	counted := func(s, o uint32) bool {
-		e.stats.Results++
-		if !emit(s, o) {
-			return false
+	sp := e.Begin(core.FoldContext(ctx, opts), emit)
+	if q.Subject == core.Variable && q.Object == core.Variable {
+		if done, err := e.tryFastPath(q.Expr); done {
+			return e.End(sp, err)
 		}
-		return limit == 0 || e.stats.Results < limit
 	}
-
-	sp := e.trace.Begin(obs.SpanTraverse)
-	var err error
-	switch {
-	case q.Subject == core.Variable && q.Object == core.Variable &&
-		!opts.DisableFastPaths && e.tryFastPath(q.Expr, counted):
-		err = e.fastErr
-	case q.Object != core.Variable && q.Subject == core.Variable:
-		err = e.evalToConst(q.Expr, uint32(q.Object), false, counted)
-	case q.Subject != core.Variable && q.Object == core.Variable:
-		err = e.evalToConst(pathexpr.InverseOf(q.Expr), uint32(q.Subject), true, counted)
-	case q.Subject != core.Variable && q.Object != core.Variable:
-		err = e.evalBothConst(q.Expr, uint32(q.Subject), uint32(q.Object), counted)
-	default:
-		err = e.evalBothVar(q.Expr, counted)
-	}
-	e.trace.EndVals(sp, int64(e.stats.ProductNodes), int64(e.stats.ProductEdges),
-		int64(e.stats.WaveletVisits), int64(e.stats.Results))
-	if errors.Is(err, errLimit) {
-		err = nil
-	}
-	return e.stats, err
+	return e.End(sp, e.Dispatch(q))
 }
 
-// compile returns the memoised compilation of expr under the
-// evaluation's stepping-tier options.
-func (e *Engine) compile(expr pathexpr.Node) *core.Compiled {
-	return e.memo.Get(expr, e.eager, e.noCompile)
-}
-
-// install readies every sub-ring for c (see core.LevelOwner.Install),
-// with the tombstone filter of the current overlay version.
-func (e *Engine) install(c *core.Compiled) {
+// Prepare compiles expr and readies every sub-ring for it (see
+// core.LevelOwner.Install), with the tombstone filter of the current
+// overlay version.
+func (e *Engine) Prepare(expr pathexpr.Node) *glushkov.Engine {
+	c := e.memo.Get(expr, false)
+	if c.Eng == nil {
+		return nil
+	}
 	e.st = c.Stepper()
 	e.init = c.Eng.Init
 	for i, w := range e.work {
 		w.Install(c, i)
 		w.LeafMask = e.leafMaskFor(w)
 	}
+	return c.Eng
 }
 
-// release resets every per-query working array in O(1).
-func (e *Engine) release() {
+// Release resets every per-query working array in O(1).
+func (e *Engine) Release() {
 	e.visited.Reset()
 	for _, w := range e.work {
 		w.Release()
@@ -223,8 +185,8 @@ func (e *Engine) release() {
 	e.queue = e.queue[:0]
 }
 
-// seed starts a traversal at o, visited with the states d.
-func (e *Engine) seed(o uint32, d uint64) {
+// Seed starts a traversal at o, visited with the states d.
+func (e *Engine) Seed(o uint32, d uint64) {
 	e.visited.Reset()
 	for _, w := range e.work {
 		w.ResetMarks()
@@ -251,11 +213,11 @@ func (e *Engine) arrive(s uint32, d2 uint64) error {
 	if fresh == 0 {
 		return nil
 	}
-	e.stats.ProductNodes++
+	e.Stats.ProductNodes++
 	e.markNode(s, d2)
 	if fresh&e.init != 0 {
 		if !e.report(s, 0) {
-			return errLimit
+			return core.ErrLimit
 		}
 		fresh &^= e.init
 	}
@@ -281,12 +243,12 @@ func (e *Engine) hasInEdges(s uint32) bool {
 	return !ok
 }
 
-// bfs drains the worklist level-synchronously: per level, every
+// Run drains the worklist level-synchronously: per level, every
 // sub-ring's static in-edges, then the overlay adds.
-func (e *Engine) bfs(report core.EmitFunc) error {
-	e.report = report
+func (e *Engine) Run(base uint64, report core.EmitFunc) error {
+	e.base, e.report = base, report
 	for len(e.queue) > 0 {
-		if err := e.clock.Check(); err != nil {
+		if err := e.Clock.Check(); err != nil {
 			return err
 		}
 		// Every ring and the adds pass read the level while arrivals
@@ -294,12 +256,12 @@ func (e *Engine) bfs(report core.EmitFunc) error {
 		level := core.NextLevel(e.queue)
 		e.queue, e.level = e.level[:0], level
 		sp, visits0 := -1, 0
-		if e.trace != nil {
-			visits0 = e.stats.WaveletVisits
-			sp = e.trace.Begin(obs.SpanLevel)
+		if e.Trace != nil {
+			visits0 = e.Stats.WaveletVisits
+			sp = e.Trace.Begin(obs.SpanLevel)
 		}
 		err := e.stepLevel(level)
-		e.trace.EndVals(sp, int64(len(level)), int64(e.stats.WaveletVisits-visits0))
+		e.Trace.EndVals(sp, int64(len(level)), int64(e.Stats.WaveletVisits-visits0))
 		if err != nil {
 			return err
 		}
@@ -316,137 +278,20 @@ func (e *Engine) stepLevel(level []core.Item) error {
 	return e.overlayLevel(level)
 }
 
-// evalToConst evaluates (x, E, o) for fixed o, emitting (s, o) pairs —
-// or (o, s) when swap is set (the (s, E, y) rewriting of §4.4).
-func (e *Engine) evalToConst(expr pathexpr.Node, o uint32, swap bool, emit core.EmitFunc) error {
-	pair := func(r, _ uint32) bool {
-		if swap {
-			return emit(o, r)
-		}
-		return emit(r, o)
-	}
-	c := e.compile(expr)
-	if c.Eng == nil || e.noCompile {
-		return e.wideEvalToConst(expr, o, swap, emit)
-	}
-	if int(o) >= e.numNodes {
-		return nil
-	}
-	if c.A.Nullable && !pair(o, o) {
-		return errLimit
-	}
-	defer e.release()
-	e.install(c)
-	e.seed(o, c.Eng.F)
-	return e.bfs(pair)
-}
-
-// evalBothConst evaluates (s, E, o), stopping at the first match.
-func (e *Engine) evalBothConst(expr pathexpr.Node, s, o uint32, emit core.EmitFunc) error {
-	c := e.compile(expr)
-	if c.Eng == nil || e.noCompile {
-		return e.wideEvalBothConst(expr, s, o, emit)
-	}
-	if int(o) >= e.numNodes || int(s) >= e.numNodes {
-		return nil
-	}
-	if c.A.Nullable && s == o {
-		emit(s, o)
-		return nil
-	}
-	defer e.release()
-	e.install(c)
-	e.seed(o, c.Eng.F)
-	return e.bfs(func(got, _ uint32) bool {
-		if got == s {
-			emit(s, o)
-			return false
-		}
-		return true
-	})
-}
-
-// evalBothVar evaluates (x, E, y): nullable self-pairs first, then a
-// full-range phase collecting candidate endpoints, then one
-// constrained traversal per candidate (§4.4's two-phase strategy).
-// The orientation is core.StartFromObjects': phase 2 starts at the end
-// whose boundary predicates select fewer triples, the cardinalities
-// counting overlay adds alongside the rings.
-func (e *Engine) evalBothVar(expr pathexpr.Node, emit core.EmitFunc) error {
-	c := e.compile(expr)
-	if c.Eng == nil || e.noCompile {
-		return e.wideEvalBothVar(expr, emit)
-	}
-	nullable := c.A.Nullable
-	if nullable {
-		for v := 0; v < e.numNodes; v++ {
-			if err := e.clock.Check(); err != nil {
-				return err
-			}
-			if !emit(uint32(v), uint32(v)) {
-				return errLimit
-			}
-		}
-	}
-
-	fromObjects := core.StartFromObjects(c.A, func(p uint32) int {
-		total := e.ov.predTouch[p] - e.ov.predDels[p]
-		for _, w := range e.work {
-			total += w.R.Cp[p+1] - w.R.Cp[p]
-		}
-		return total
-	})
-	phase1Expr, phase2Expr := expr, pathexpr.InverseOf(expr)
-	if fromObjects {
-		phase1Expr, phase2Expr = phase2Expr, phase1Expr
-	}
-
-	// Phase 1: every endpoint conceptually starts with the final states
-	// active (F minus the initial state counts as visited everywhere);
-	// collect the candidates that reach the initial state.
-	var starts []uint32
-	collect := func(s, _ uint32) bool {
-		starts = append(starts, s)
-		return true
-	}
-	c1 := e.compile(phase1Expr)
-	e.install(c1)
-	e.base = c1.Eng.F &^ c1.Eng.Init
-	err := e.full(c1.Eng.F, collect)
-	e.base = 0
-	e.release()
-	if err != nil {
-		return err
-	}
-
-	// Phase 2: one constrained traversal per candidate, in the other
-	// orientation.
-	c2 := e.compile(phase2Expr)
-	defer e.release()
-	e.install(c2)
-	for _, s := range starts {
-		e.seed(s, c2.Eng.F)
-		if err := e.bfs(core.Phase2Emit(emit, s, fromObjects, nullable)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// full runs phase 1 of a v→v query: every sub-ring's whole L_p range as
+// Full runs phase 1 of a v→v query: every sub-ring's whole L_p range as
 // one batched item, and every overlay add, with the states d; then the
 // BFS from the candidates found.
-func (e *Engine) full(d uint64, report core.EmitFunc) error {
-	e.report = report
+func (e *Engine) Full(d, base uint64, report core.EmitFunc) error {
+	e.base, e.report = base, report
 	for _, w := range e.work {
-		if err := w.StepFull(d, e.base); err != nil {
+		if err := w.StepFull(d, base); err != nil {
 			return err
 		}
 	}
 	if err := e.overlayFullRange(d); err != nil {
 		return err
 	}
-	return e.bfs(report)
+	return e.Run(base, report)
 }
 
 // overlayFullRange feeds every overlay add into the full-range phase-1
@@ -463,17 +308,48 @@ func (e *Engine) overlayFullRange(d uint64) error {
 // stepAdd NFA-steps the overlay add (s, p, ·) out of an object holding
 // states d. The deadline is probed per add: one level can touch many.
 func (e *Engine) stepAdd(d uint64, p, s uint32) error {
-	if err := e.clock.Check(); err != nil {
+	if err := e.Clock.Check(); err != nil {
 		return err
 	}
 	bp := e.st.PredMask(p)
 	if d&bp == 0 {
 		return nil
 	}
-	e.stats.ProductEdges++
+	e.Stats.ProductEdges++
 	d2 := e.st.StepBack(d & bp)
 	if d2 == 0 {
 		return nil
 	}
 	return e.arrive(s, d2)
+}
+
+// Card counts the union triples of completed predicate p: the rings'
+// plus the overlay's adds minus its tombstones.
+func (e *Engine) Card(p uint32) int {
+	// predTouch counts adds and tombstones together.
+	total := e.ov.predTouch[p] - 2*e.ov.predDels[p]
+	for _, w := range e.work {
+		total += w.R.Cp[p+1] - w.R.Cp[p]
+	}
+	return total
+}
+
+// InEdges streams the union in-edges of object o (of every node when o
+// is core.Variable) to the multiword fallback, edge by edge.
+func (e *Engine) InEdges(o int64, step func(p uint32) func(s uint32) bool) {
+	each := func(p, s uint32) bool {
+		if f := step(p); f != nil {
+			return f(s)
+		}
+		return true
+	}
+	if o != core.Variable {
+		EachInEdge(e.rings, e.ov, uint32(o), each)
+		return
+	}
+	for v := 0; v < e.NumNodes; v++ {
+		if !EachInEdge(e.rings, e.ov, uint32(v), each) {
+			return
+		}
+	}
 }

@@ -178,30 +178,38 @@ func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int, shards 
 	return &scenario{gStatic: gStatic, gMerged: gMerged, ov: ov, nv: total, np: np}, eng
 }
 
-// runCase compares one evaluation against the oracle.
+// hotRuns evaluations take an expression past core's compile
+// threshold, so the last of them runs the compiled stepper.
+const hotRuns = 3
+
+// runCase compares evaluations against the oracle: the hotness default,
+// repeats until the expression is compiled, and the widened expression
+// (enginetest.Widen), which takes the multiword fallback.
 func runCase(t *testing.T, sc *scenario, eng *Engine, subject int64, expr pathexpr.Node, object int64) {
 	t.Helper()
 	want := enginetest.SortPairs(enginetest.Oracle(sc.gMerged, subject, expr, object))
-	// The hotness default and both stepping tiers (compiled stepper,
-	// interpreter) must match the oracle.
-	for _, opts := range []core.Options{{}, {CompileEager: true}, {DisableCompiled: true}} {
+	for run := 0; run <= hotRuns; run++ {
+		x, mode := expr, fmt.Sprintf("run %d", run)
+		if run == hotRuns {
+			x, mode = enginetest.Widen(expr), "widened"
+		}
 		var got []enginetest.Pair
-		_, err := eng.Eval(context.Background(), core.Query{Subject: subject, Expr: expr, Object: object}, opts, func(s, o uint32) bool {
+		_, err := eng.Eval(context.Background(), core.Query{Subject: subject, Expr: x, Object: object}, core.Options{}, func(s, o uint32) bool {
 			got = append(got, enginetest.Pair{S: s, O: o})
 			return true
 		})
 		if err != nil {
-			t.Fatalf("Eval(%v, %s, %v): %v", subject, pathexpr.String(expr), object, err)
+			t.Fatalf("Eval(%v, %s, %v) %s: %v", subject, pathexpr.String(expr), object, mode, err)
 		}
 		got = enginetest.SortPairs(got)
 		if len(got) != len(want) {
-			t.Fatalf("Eval(%v, %s, %v) %+v: %d pairs, oracle %d\n got=%v\nwant=%v",
-				subject, pathexpr.String(expr), object, opts, len(got), len(want), got, want)
+			t.Fatalf("Eval(%v, %s, %v) %s: %d pairs, oracle %d\n got=%v\nwant=%v",
+				subject, pathexpr.String(expr), object, mode, len(got), len(want), got, want)
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("Eval(%v, %s, %v) %+v: pair %d = %v, oracle %v",
-					subject, pathexpr.String(expr), object, opts, i, got[i], want[i])
+				t.Fatalf("Eval(%v, %s, %v) %s: pair %d = %v, oracle %v",
+					subject, pathexpr.String(expr), object, mode, i, got[i], want[i])
 			}
 		}
 	}
@@ -317,24 +325,25 @@ func TestUnionEngineLimitTimeout(t *testing.T) {
 
 // A 1ns deadline on a dense overlaid graph must interrupt the union
 // traversal inside its per-edge/per-leaf loops — ring descents and
-// overlay merges alike — in every stepping tier.
+// overlay merges alike — in both stepping tiers (the repeats take the
+// expression past the compile threshold) and in the multiword fallback.
 func TestUnionEngineTimeoutProbedInInnerLoops(t *testing.T) {
 	_, eng := buildScenario(t, 21, 150, 2, 1800, 100, 1, ring.WaveletMatrix)
 	expr := pathexpr.MustParse("(pa|pb)+")
-	q := core.Query{Subject: core.Variable, Expr: expr, Object: core.Variable}
-	for _, opts := range []core.Options{
-		{Timeout: time.Nanosecond},
-		{Timeout: time.Nanosecond, CompileEager: true},
-		{Timeout: time.Nanosecond, DisableCompiled: true},
-	} {
+	for run := 0; run <= hotRuns; run++ {
+		x := expr
+		if run == hotRuns {
+			x = enginetest.Widen(expr)
+		}
+		q := core.Query{Subject: core.Variable, Expr: x, Object: core.Variable}
 		start := time.Now()
-		_, err := eng.Eval(context.Background(), q, opts, func(s, o uint32) bool { return true })
+		_, err := eng.Eval(context.Background(), q, core.Options{Timeout: time.Nanosecond}, func(s, o uint32) bool { return true })
 		elapsed := time.Since(start)
 		if err != core.ErrTimeout {
-			t.Fatalf("opts=%+v: err=%v, want ErrTimeout", opts, err)
+			t.Fatalf("run %d: err=%v, want ErrTimeout", run, err)
 		}
 		if elapsed > 5*time.Second {
-			t.Fatalf("opts=%+v: 1ns deadline took %v", opts, elapsed)
+			t.Fatalf("run %d: 1ns deadline took %v", run, elapsed)
 		}
 	}
 }
@@ -422,9 +431,9 @@ func TestUnionEngineCutoffSidesMatchOracle(t *testing.T) {
 		o, _ := merged.Nodes.Lookup(tc.start)
 		expr := pathexpr.MustParse("(pa|pb)+")
 		want := enginetest.SortPairs(enginetest.Oracle(merged, core.Variable, expr, int64(o)))
-		for _, opts := range []core.Options{{}, {CompileEager: true}} {
+		for run := 0; run < hotRuns; run++ {
 			tr := obs.New()
-			opts.Trace = tr
+			opts := core.Options{Trace: tr}
 			var got []enginetest.Pair
 			_, err := eng.Eval(context.Background(), core.Query{Subject: core.Variable, Expr: expr, Object: int64(o)}, opts,
 				func(s, o uint32) bool { got = append(got, enginetest.Pair{S: s, O: o}); return true })
@@ -451,7 +460,8 @@ func TestUnionEngineCutoffSidesMatchOracle(t *testing.T) {
 // through the union engine too, counting overlay adds and tombstones:
 // pa/pb* and pb*/pa over a 200-node pb chain fed by three pa edges, one
 // of them tombstoned and one pa edge added, stay within two product
-// nodes per result.
+// nodes and two product edges per result. The widened cases run the
+// multiword fallback, which must follow the same rule.
 func TestUnionEngineVarVarStartsAtSelectiveEnd(t *testing.T) {
 	static := enginetest.RareIntoChain(200)
 	add := [3]string{"x2", "pa", "c000"}
@@ -466,8 +476,12 @@ func TestUnionEngineVarVarStartsAtSelectiveEnd(t *testing.T) {
 		}
 	}
 	eng, merged := cutoffCase(t, nodes, static, [3]string{"x1", "pa", "c000"}, add)
+	exprs := map[string]pathexpr.Node{}
 	for _, src := range []string{"pa/pb*", "pb*/pa"} {
-		expr := pathexpr.MustParse(src)
+		exprs[src] = pathexpr.MustParse(src)
+		exprs["widened "+src] = enginetest.Widen(exprs[src])
+	}
+	for src, expr := range exprs {
 		want := enginetest.SortPairs(enginetest.Oracle(merged, core.Variable, expr, core.Variable))
 		var got []enginetest.Pair
 		st, err := eng.Eval(context.Background(), core.Query{Subject: core.Variable, Expr: expr, Object: core.Variable}, core.Options{},
@@ -478,9 +492,9 @@ func TestUnionEngineVarVarStartsAtSelectiveEnd(t *testing.T) {
 		if got = enginetest.SortPairs(got); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: got %d pairs, oracle %d", src, len(got), len(want))
 		}
-		if st.ProductNodes > 2*st.Results+2 {
-			t.Errorf("%s activated %d product nodes for %d results, want at most %d",
-				src, st.ProductNodes, st.Results, 2*st.Results+2)
+		if bound := 2*st.Results + 2; st.ProductNodes > bound || st.ProductEdges > bound {
+			t.Errorf("%s took %d product nodes and %d product edges for %d results, want at most %d each",
+				src, st.ProductNodes, st.ProductEdges, st.Results, bound)
 		}
 	}
 }

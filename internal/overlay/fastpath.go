@@ -15,23 +15,20 @@ import (
 // real logs and produce the largest result sets.
 
 // tryFastPath handles (x, E, y) when E flattens to symbols or is a
-// two-symbol concatenation; reports whether it ran (result or error
-// left in e.fastErr).
-func (e *Engine) tryFastPath(expr pathexpr.Node, emit core.EmitFunc) bool {
+// two-symbol concatenation, reporting whether it ran.
+func (e *Engine) tryFastPath(expr pathexpr.Node) (bool, error) {
 	if x, ok := expr.(pathexpr.Concat); ok {
 		l, lok := x.L.(pathexpr.Sym)
 		r, rok := x.R.(pathexpr.Sym)
 		if lok && rok {
-			e.fastErr = e.fastConcat2(l, r, emit)
-			return true
+			return true, e.fastConcat2(l, r)
 		}
-		return false
+		return false, nil
 	}
 	syms, ok := flattenAltSyms(expr)
 	if !ok {
-		return false
+		return false, nil
 	}
-	e.fastErr = nil
 	// Pair dedup across branches (two predicates may connect the same
 	// pair) via the engine-owned paged bitset: zero steady-state
 	// allocation, like core's §5 paths. Within one branch pairs are
@@ -45,12 +42,11 @@ func (e *Engine) tryFastPath(expr pathexpr.Node, emit core.EmitFunc) bool {
 		if !found {
 			continue // unknown predicate matches nothing
 		}
-		if err := e.fastSingle(p, dedup, emit); err != nil {
-			e.fastErr = err
-			break
+		if err := e.fastSingle(p, dedup); err != nil {
+			return true, err
 		}
 	}
-	return true
+	return true, nil
 }
 
 // flattenAltSyms collects the leaves of an alternation tree if they
@@ -73,7 +69,7 @@ func flattenAltSyms(n pathexpr.Node) ([]pathexpr.Sym, bool) {
 // sub-ring, the distinct subjects of L_s[C_p[p], C_p[p+1]) each
 // backward-step their object range by p̂ to list their objects (§5),
 // tombstones dropped; then the overlay's adds for p.
-func (e *Engine) fastSingle(p uint32, dedup bool, emit core.EmitFunc) error {
+func (e *Engine) fastSingle(p uint32, dedup bool) error {
 	half := e.numPreds / 2
 	pInv := p + half
 	if p >= half {
@@ -84,8 +80,8 @@ func (e *Engine) fastSingle(p uint32, dedup bool, emit core.EmitFunc) error {
 		if dedup && !e.pairs.Add(s, o) {
 			return nil
 		}
-		if !emit(s, o) {
-			return errLimit
+		if !e.Emit(s, o) {
+			return core.ErrLimit
 		}
 		return nil
 	}
@@ -100,11 +96,11 @@ func (e *Engine) fastSingle(p uint32, dedup bool, emit core.EmitFunc) error {
 			if failure != nil {
 				return false
 			}
-			e.stats.WaveletVisits++
+			e.Stats.WaveletVisits++
 			if !leaf {
 				return true
 			}
-			if err := e.clock.Check(); err != nil {
+			if err := e.Clock.Check(); err != nil {
 				failure = err
 				return false
 			}
@@ -116,7 +112,7 @@ func (e *Engine) fastSingle(p uint32, dedup bool, emit core.EmitFunc) error {
 				if failure != nil {
 					return false
 				}
-				e.stats.WaveletVisits++
+				e.Stats.WaveletVisits++
 				if !leaf2 {
 					return true
 				}
@@ -151,7 +147,7 @@ func (e *Engine) fastSingle(p uint32, dedup bool, emit core.EmitFunc) error {
 // sources of p2; for each z, the sources by p1 and the objects by p2
 // are materialised (static backward steps minus tombstones, plus the
 // overlay's sorted adds) and cross-multiplied (§5's join-like shape).
-func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym, emit core.EmitFunc) error {
+func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym) error {
 	p1, ok1 := e.ids(s1)
 	p2, ok2 := e.ids(s2)
 	if !ok1 || !ok2 {
@@ -171,7 +167,7 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym, emit core.EmitFunc) error {
 
 	var srcs, dsts []uint32
 	perMiddle := func(z uint32) error {
-		if err := e.clock.Check(); err != nil {
+		if err := e.Clock.Check(); err != nil {
 			return err
 		}
 		srcs, dsts = srcs[:0], dsts[:0]
@@ -214,8 +210,8 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym, emit core.EmitFunc) error {
 				if !e.pairs.Add(s, o) {
 					continue
 				}
-				if !emit(s, o) {
-					return errLimit
+				if !e.Emit(s, o) {
+					return core.ErrLimit
 				}
 			}
 		}
